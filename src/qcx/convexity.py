@@ -27,8 +27,9 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, repeat
 from math import comb
+from operator import add
 from typing import Iterable, Sequence, Union
 
 from .betanum import expand_greedy, has_finite_expansion
@@ -45,7 +46,7 @@ from .errors import (
     RingMismatchError,
 )
 from .modelset import Interval, PointSet
-from .quadring import QuadInt, QuadRat, RingSpec
+from .quadring import QuadInt, QuadRat, RingSpec, _sorted_exact
 
 log = logging.getLogger("qcx.convexity")
 
@@ -284,6 +285,13 @@ def closure_bfs(
     Intermediate values are never discarded (they keep generating) and the
     optional ``span`` filter applies to the returned set only.  Raises
     BudgetExceededError when the accumulated set outgrows ``node_cap``.
+
+    Points are handled as integer pairs (a, b) and deduplicated through the
+    integer keys a*stride + b.  The stride is set afresh at the start of each
+    round from the largest coordinate known so far, just wide enough that no
+    candidate of that round can wrap, so the keys stay small integers.  The
+    result is ordered by a fixed-point key sort whose order is then
+    certified (and, if needed, repaired) by exact integer sign tests.
     """
     seed_list = list(seeds)
     if not seed_list:
@@ -305,89 +313,64 @@ def closure_bfs(
 
     m, eps = ring.m, ring.eps
     param_pairs = [(p.a, p.b) for p in param_list]
-
-    # Dedup keys are a*stride + b with stride a power of two chosen so that
-    # no coordinate reachable within ``depth`` rounds can wrap: each round
-    # multiplies the largest coordinate magnitude by at most ``growth``.
-    mag = 1
-    for s in seed_list:
-        mag = max(mag, abs(s.a), abs(s.b))
+    # A candidate p*x + (1-p)*y has coordinates of magnitude at most
+    # growth * mag when those of x and y are at most mag:
+    # |p*x| <= (|pa| + (m+1)|pb|) * mag and |(1-p)*y| <= (1 + |pa| + (m+1)|pb|) * mag.
     growth = 3
     for pa, pb in param_pairs:
         growth = max(growth, 1 + 2 * (abs(pa) + (m + 1) * abs(pb)))
-    bits = (mag + 2).bit_length() + depth * growth.bit_length() + 4
-    stride = 1 << bits
-    half = stride >> 1
-    mask = stride - 1
 
-    order: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for s in seed_list:
-        key = s.a * stride + s.b
-        if key not in seen:
-            seen.add(key)
-            order.append((s.a, s.b))
-    frontier = list(order)
+    order = list(dict.fromkeys((s.a, s.b) for s in seed_list))
+    frontier_len = len(order)  # order[-frontier_len:] is new since last round
 
-    def scaled(pa: int, pb: int, pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        # (pa + pb*beta) * (a + b*beta) as plain pairs
-        return [
-            (pa * a + eps * pb * b, pa * b + pb * a + m * pb * b) for a, b in pts
-        ]
+    def keys(pa: int, pb: int, stride: int) -> list[int]:
+        # keys of (pa + pb*beta) * (a + b*beta) for every (a, b) in order
+        return [(pa * a + eps * pb * b) * stride + pa * b + pb * a + m * pb * b for a, b in order]
 
     for round_no in range(depth):
-        if not frontier:
+        if not frontier_len:
             break
-        base = len(order) - len(frontier)  # order[:base] predates this frontier
-        new_keys: list[int] = []
-        seen_add = seen.add
-        new_append = new_keys.append
+        # Dedup keys are a*stride + b with stride a power of two, set afresh
+        # each round from the largest coordinate so far: every candidate of
+        # this round has |b| <= growth * mag < stride/4, so keys decode
+        # without wrapping, and no wider stride than that is paid for.
+        mag = max(map(abs, chain.from_iterable(order)))
+        bits = (growth * mag).bit_length() + 2
+        stride = 1 << bits
+        half = stride >> 1
+        mask = stride - 1
+        known = {a * stride + b for a, b in order}
+        seen = set(known)
+        seen_update = seen.update
+        n = len(order)
         for pa, pb in param_pairs:
-            qa, qb = 1 - pa, -pb  # 1 - p
             # z = p*x + (1-p)*y and its reflection w = (1-p)*x + p*y; one pass
             # over unordered pairs covers both orders of x |- y.  Keys are
             # linear in the coordinates, so key(z) = key(p*x) + key((1-p)*y)
             # and each candidate costs one integer add.
-            kx_u = [a * stride + b for a, b in scaled(pa, pb, frontier)]
-            kx_v = [a * stride + b for a, b in scaled(qa, qb, frontier)]
-            ky = list(
-                zip(
-                    (a * stride + b for a, b in scaled(qa, qb, order)),
-                    (a * stride + b for a, b in scaled(pa, pb, order)),
-                )
-            )
-            for i in range(len(frontier)):
-                ku = kx_u[i]
-                kv = kx_v[i]
-                for kw, kp in islice(ky, base + i):
-                    key = ku + kw
-                    if key not in seen:
-                        seen_add(key)
-                        new_append(key)
-                    key = kv + kp
-                    if key not in seen:
-                        seen_add(key)
-                        new_append(key)
+            kp = keys(pa, pb, stride)
+            kq = keys(1 - pa, -pb, stride)
+            for i in range(n - frontier_len, n):
+                # x = order[i] is new; y runs over the points before it
+                seen_update(map(add, repeat(kp[i]), kq[:i]))
+                seen_update(map(add, repeat(kq[i]), kp[:i]))
                 if len(seen) > node_cap:
                     raise BudgetExceededError(
                         f"closure exceeded {node_cap} points at round {round_no + 1}"
                     )
-                # pairs against points discovered later this round are handled
-                # when those points join the order; ky only covers order
-        fresh = []
-        for key in new_keys:
+        fresh = seen - known
+        for key in fresh:
             b = key & mask
             if b >= half:
                 b -= stride
-            fresh.append(((key - b) >> bits, b))
-        order.extend(fresh)
-        frontier = fresh
-        log.debug("closure round %d: %d new, %d total", round_no + 1, len(fresh), len(order))
+            order.append(((key - b) >> bits, b))
+        frontier_len = len(fresh)
+        log.debug("closure round %d: %d new, %d total", round_no + 1, frontier_len, len(order))
 
-    points = [ring.element(a, b) for a, b in order]
+    points = [QuadInt(ring, a, b) for a, b in order]
     if span is not None:
         points = [p for p in points if span.contains(p)]
-    points.sort()
+    points = _sorted_exact(ring, points)
     if span is None:
         if points:
             span = Interval.closed(points[0], points[-1])
@@ -854,10 +837,21 @@ def divisibility_filter(y: QuadInt, s_w: QuadInt) -> Divisibility:
     satisfies s_w | y or s_w | y - 1 when s_w in {1/beta, 1 - 1/beta}
     generates a forcing pair; NEITHER certifies non-membership.
     """
-    if y.ring != s_w.ring:
+    ring = y.ring
+    if s_w.ring is not ring and s_w.ring != ring:
         raise RingMismatchError("value and parameter must share one ring")
-    dy = s_w.divides(y) is not None
-    dy1 = s_w.divides(y - 1) is not None
+    # s_w | x  <=>  N(s_w) divides both coordinates of x * conj(s_w); the test
+    # for y - 1 subtracts conj(s_w) from the product for y.
+    m = ring.m
+    c, d = s_w.a + s_w.b * m, -s_w.b  # conj(s_w)
+    n = s_w.norm()
+    if n == 0:
+        raise ZeroDivisionError("zero divides nothing")
+    a, b = y.a, y.b
+    pa = a * c + ring.eps * b * d
+    pb = a * d + b * c + m * b * d
+    dy = not (pa % n or pb % n)
+    dy1 = not ((pa - c) % n or (pb - d) % n)
     if dy and dy1:
         return Divisibility.BOTH
     if dy:

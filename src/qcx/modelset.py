@@ -12,6 +12,7 @@ reconstructs the window interval from a finite point sample.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -20,9 +21,10 @@ from .errors import (
     MissingSeedsError,
     OutOfRangeError,
     ParameterNotAdmissibleError,
+    RingMismatchError,
     TooFewPointsError,
 )
-from .quadring import QuadInt, QuadRat, RingSpec
+from .quadring import QuadInt, QuadRat, RingSpec, _sorted_exact
 
 Scalar = Union[QuadInt, QuadRat, int]
 
@@ -136,25 +138,17 @@ def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> Poi
             x = ring.element(a, b)
             if span.contains(x) and window.contains(x.conj()):
                 points.append(x)
-    points.sort()
-    return PointSet(ring, tuple(points), span)
+    return PointSet(ring, tuple(_sorted_exact(ring, points)), span)
 
 
 def gap_histogram(ps: PointSet) -> list[tuple[QuadInt, int]]:
     """Distinct consecutive gaps with multiplicities, sorted by gap size."""
     if len(ps) < 2:
         raise TooFewPointsError(f"need at least two points, got {len(ps)}")
-    counts: dict[tuple[int, int], tuple[QuadInt, int]] = {}
-    prev = ps.points[0]
-    for cur in ps.points[1:]:
-        g = cur - prev
-        key = (g.a, g.b)
-        if key in counts:
-            counts[key] = (g, counts[key][1] + 1)
-        else:
-            counts[key] = (g, 1)
-        prev = cur
-    return sorted(counts.values(), key=lambda it: it[0])
+    pts = ps.points
+    counts = Counter((y.a - x.a, y.b - x.b) for x, y in zip(pts, pts[1:]))
+    gaps = [(QuadInt(ps.ring, a, b), n) for (a, b), n in counts.items()]
+    return sorted(gaps, key=lambda it: it[0])
 
 
 @dataclass(frozen=True)
@@ -234,10 +228,14 @@ def reconstruct_window(points: Sequence[QuadInt]) -> WindowReconstruction:
     [0, 1], every consecutive gap must be at most 1; the first wider gap
     raises ChainBrokenError carrying that gap.
     """
-    pts = sorted(set(points))
-    if not pts:
+    distinct = set(points)
+    if not distinct:
         raise MissingSeedsError("no points given")
-    ring = pts[0].ring
+    ring = next(iter(distinct)).ring
+    for p in distinct:
+        if p.ring is not ring and p.ring != ring:
+            raise RingMismatchError(f"operands from different rings: {ring} vs {p.ring}")
+    pts = _sorted_exact(ring, distinct)
     if ring.zero not in pts or ring.one not in pts:
         raise MissingSeedsError("window reconstruction needs both 0 and 1 among the points")
     upper: list[QuadInt] = []

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
+from itertools import islice
 from math import gcd, isqrt
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import OutOfRangeError, RingMismatchError
 
@@ -197,7 +198,8 @@ class QuadInt:
 
     def _coerce(self, other) -> "QuadInt | None":
         if isinstance(other, QuadInt):
-            if other.ring != self.ring:
+            # identity first: the dataclass __eq__ of RingSpec is the slow path
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
                     f"operands from different rings: {self.ring} vs {other.ring}"
                 )
@@ -314,7 +316,7 @@ class QuadInt:
 
     def __eq__(self, other):
         if isinstance(other, QuadInt):
-            if self.ring == other.ring:
+            if self.ring is other.ring or self.ring == other.ring:
                 return self.a == other.a and self.b == other.b
             # rational integers are ring-independent; beta multiples are not
             return self.b == 0 and other.b == 0 and self.a == other.a
@@ -364,6 +366,25 @@ class QuadInt:
         return f"{self.a},{self.b}"
 
 
+def _sorted_exact(ring: RingSpec, points: Iterable[QuadInt]) -> list[QuadInt]:
+    """The elements ``points`` of ``ring`` in exact increasing order.
+
+    A sort on the integer key 2^(_SQRT_BITS+1) * x, rounded with an error below
+    |b|, puts in order every two elements whose values differ by more than
+    that error.  One exact sign test per adjacent pair then certifies the
+    order; if any test fails, an exact comparison sort of the nearly sorted
+    list repairs it.  Either way the final order is decided by exact integer
+    sign tests, never by the key alone.
+    """
+    m, sqrt_disc = ring.m, ring._sqrt_disc_scaled
+    out = sorted(points, key=lambda p: ((2 * p.a + m * p.b) << _SQRT_BITS) + p.b * sqrt_disc)
+    for x, y in zip(out, islice(out, 1, None)):
+        if _sign_pair(ring, y.a - x.a, y.b - x.b) <= 0:
+            out.sort()
+            break
+    return out
+
+
 # ---------------------------------------------------------------------------
 # field elements with denominators
 # ---------------------------------------------------------------------------
@@ -399,11 +420,11 @@ class QuadRat:
 
     def _coerce(self, other) -> "QuadRat | None":
         if isinstance(other, QuadRat):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError("operands from different rings")
             return other
         if isinstance(other, QuadInt):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError("operands from different rings")
             return QuadRat(other, 1)
         if isinstance(other, int):

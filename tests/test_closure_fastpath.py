@@ -1,0 +1,198 @@
+"""closure_bfs, the exact sort helper and the integer divisibility filter,
+each checked against a plain reference implementation kept in this file."""
+
+import functools
+import math
+import random
+
+import pytest
+
+from qcx import (
+    BudgetExceededError,
+    Divisibility,
+    Interval,
+    QuadRat,
+    RingMismatchError,
+    RingSpec,
+    characterizing_params,
+    closure_bfs,
+    divisibility_filter,
+    ring_make,
+)
+from qcx.quadring import _sorted_exact
+
+RINGS = [ring_make(*key) for key in ((1, 1), (2, 1), (3, 1), (4, -1), (5, -1), (7, -1))]
+IDS = [f"{r.m},{r.eps:+d}" for r in RINGS]
+
+
+def naive_rounds(seeds, params, depth):
+    """The point sets after rounds 0..depth: each round applies every
+    parameter to every ordered pair of the points known at its start, in
+    QuadInt arithmetic."""
+    sets = [set(seeds)]
+    for _ in range(depth):
+        cur = list(sets[-1])
+        sets.append(sets[-1] | {s * x + (1 - s) * y for s in params for x in cur for y in cur})
+    return sets
+
+
+def exact_order(points):
+    return sorted(points, key=functools.cmp_to_key(lambda x, y: (x - y).sign()))
+
+
+def _cases():
+    for ring, rid in zip(RINGS, IDS):
+        inv = ring.inv_beta
+        # direct-side weights in [0, 1] and their conjugates (window side)
+        for s in (inv, 1 - inv, inv.conj(), (1 - inv).conj()):
+            yield ring, (s,), 4, f"{rid} s={s}"
+        yield ring, characterizing_params(ring).params, 3, f"{rid} char"
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("ring,params,depth,label", CASES, ids=[c[3] for c in CASES])
+def test_closure_matches_naive_reference(ring, params, depth, label):
+    base = [ring.zero, ring.one]
+    p_arg = params[0] if len(params) == 1 else params
+    for d, ref in enumerate(naive_rounds(base, params, depth)):
+        want = [(p.a, p.b) for p in exact_order(ref)]
+        got = closure_bfs(base, p_arg, d)
+        assert [(p.a, p.b) for p in got.points] == want, (label, d)
+        assert got.span.lo == got.points[0] and got.span.hi == got.points[-1]
+        # s*(x+c) + (1-s)*(y+c) = s*x + (1-s)*y + c, so translated seeds give
+        # the translated closure, however large c is
+        for c in (ring.element(3, -2), ring.element(-7, 5), ring.element(10**15, -(10**15))):
+            moved = closure_bfs([x + c for x in base], p_arg, d)
+            assert [(p.a - c.a, p.b - c.b) for p in moved.points] == want, (label, d, c)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+def test_closure_of_translated_seeds_direct(ring):
+    # small offsets run through the reference itself, not only by translation
+    s = 1 - ring.inv_beta
+    for c in (ring.element(2, 1), ring.element(-4, 3)):
+        seeds = [c, c + 1]
+        ref = naive_rounds(seeds, (s,), 3)[-1]
+        got = closure_bfs(seeds, s, 3)
+        assert list(got.points) == exact_order(ref)
+
+
+def test_closure_span_filter_matches_reference():
+    ring = RINGS[0]
+    s = ring.element(0, -1)
+    ref = naive_rounds([ring.zero, ring.one], (s,), 4)[-1]
+    span = Interval.closed(QuadRat(ring.element(-2), 1), QuadRat(ring.element(1, 1), 1))
+    got = closure_bfs([ring.zero, ring.one], s, 4, span=span)
+    assert list(got.points) == exact_order(p for p in ref if span.contains(p))
+    assert got.span == span
+
+
+@pytest.mark.parametrize("ring", RINGS[:4], ids=IDS[:4])
+def test_budget_raised_at_the_same_node_cap(ring):
+    s = ring.element(0, -1)
+    sizes = [len(pts) for pts in naive_rounds([ring.zero, ring.one], (s,), 4)]
+    for r in range(1, 5):
+        size = sizes[r]
+        # one point fewer than round r reaches: raised in round r, not before
+        with pytest.raises(BudgetExceededError, match=f"at round {r}$"):
+            closure_bfs([ring.zero, ring.one], s, 4, node_cap=size - 1)
+        # exactly what round r reaches: round r completes
+        assert len(closure_bfs([ring.zero, ring.one], s, r, node_cap=size)) == size
+
+
+def _tiny_unit(ring):
+    """(m - beta)^k: a unit whose value lies strictly between 0 and 2^-64 in
+    absolute value, with coordinates of about 20 digits."""
+    conj_beta = abs(ring.beta_conj_float)
+    k = math.ceil(64 * math.log(2) / -math.log(conj_beta)) + 1
+    d = ring.element(ring.m, -1) ** k
+    scale = 1 << 64
+    assert (ring.element(d.a * scale - 1, d.b * scale)).sign() < 0
+    assert (ring.element(d.a * scale + 1, d.b * scale)).sign() > 0
+    return d
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+def test_sort_stress_values_closer_than_key_resolution(ring):
+    rng = random.Random(ring.m * 10 + ring.eps)
+    d = _tiny_unit(ring)
+    base = ring.element(10**30 + 7, -3 * 10**29)
+    pts = {base + d * j + d * d * i for j in range(-20, 21) for i in range(-3, 4)}
+    pts |= {base + rng.randint(-50, 50) for _ in range(40)}
+    pts = list(pts)
+    rng.shuffle(pts)
+    want = exact_order(pts)
+    assert _sorted_exact(ring, pts) == want
+    # the fixed-point key alone cannot order this set, so the exact pass is
+    # what the result above rests on
+    m, sd = ring.m, ring._sqrt_disc_scaled
+    by_key = sorted(pts, key=lambda p: ((2 * p.a + m * p.b) << 64) + p.b * sd)
+    assert by_key != want
+
+
+def test_sort_helper_on_plain_input():
+    ring = RINGS[3]
+    rng = random.Random(5)
+    pts = list({ring.element(rng.randint(-500, 500), rng.randint(-500, 500)) for _ in range(800)})
+    assert _sorted_exact(ring, pts) == exact_order(pts)
+    assert _sorted_exact(ring, []) == []
+
+
+def reference_filter(y, s):
+    dy = s.divides(y) is not None
+    dy1 = s.divides(y - 1) is not None
+    if dy and dy1:
+        return Divisibility.BOTH
+    if dy:
+        return Divisibility.DIVIDES_Y
+    if dy1:
+        return Divisibility.DIVIDES_Y_MINUS_1
+    return Divisibility.NEITHER
+
+
+def all_rings(max_m):
+    return [RingSpec(m, 1) for m in range(1, max_m + 1)] + [
+        RingSpec(m, -1) for m in range(4, max_m + 1)
+    ]
+
+
+def test_divisibility_filter_matches_divides_definition():
+    rng = random.Random(20261020)
+    seen = set()
+    for ring in all_rings(8):
+        inv = ring.inv_beta
+        # the two forcing candidates, plus non-units so that NEITHER occurs
+        divisors = [inv, 1 - inv, ring.element(2), ring.element(1, 1), ring.element(4, -1)]
+        for s in divisors:
+            for _ in range(60):
+                y = ring.element(rng.randint(-300, 300), rng.randint(-300, 300))
+                if rng.random() < 0.4:  # multiples hit the divisible branches
+                    y = s * ring.element(rng.randint(-9, 9), rng.randint(-9, 9)) + rng.randint(0, 1)
+                got = divisibility_filter(y, s)
+                assert got is reference_filter(y, s), (ring, s, y)
+                seen.add(got)
+    assert seen == set(Divisibility)
+
+
+def test_divisibility_filter_errors():
+    golden, silver = RINGS[0], RINGS[1]
+    with pytest.raises(RingMismatchError, match="share one ring"):
+        divisibility_filter(golden.element(2, 1), silver.inv_beta)
+    with pytest.raises(ZeroDivisionError):
+        divisibility_filter(golden.element(2, 1), golden.zero)
+    # an equal ring built separately is the same ring
+    assert divisibility_filter(RingSpec(1, 1).element(2, 1), golden.inv_beta) is Divisibility.BOTH
+
+
+def test_ring_checks_accept_equal_rings_and_keep_their_errors():
+    a, b, other = RingSpec(3, 1), RingSpec(3, 1), RingSpec(2, 1)
+    assert a is not b
+    assert a.element(1, 2) + b.element(3, 4) == a.element(4, 6)
+    assert a.element(1, 2) < b.element(1, 3)
+    assert QuadRat(a.element(1, 2), 3) + QuadRat(b.element(1), 3) == QuadRat(a.element(2, 2), 3)
+    with pytest.raises(RingMismatchError, match="operands from different rings: Z.beta"):
+        a.element(1, 2) + other.element(1, 2)
+    with pytest.raises(RingMismatchError, match="^operands from different rings$"):
+        QuadRat(a.element(1, 2), 3) + other.element(1, 2)
