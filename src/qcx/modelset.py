@@ -8,6 +8,11 @@ an aperiodic, uniformly discrete, relatively dense subset of the line.  This
 module enumerates such sets exactly over a bounded range, measures their gap
 structure, checks closedness under two-point convex combinations, and
 reconstructs the window interval from a finite point sample.
+
+Membership, enumeration and the convexity audit are decided on integer pairs:
+an interval keeps its endpoints as integer coordinates, and every test
+``lo <= (a + b*beta)/den <= hi`` is two exact sign tests of cross-multiplied
+integers (``quadring._sign_pair``).  Ring objects are built only for results.
 """
 
 from __future__ import annotations
@@ -24,22 +29,36 @@ from .errors import (
     RingMismatchError,
     TooFewPointsError,
 )
-from .quadring import QuadInt, QuadRat, RingSpec, _sorted_exact
+from .quadring import QuadInt, QuadRat, RingSpec, _floor_pair, _sign_pair, _sorted_exact
 
 Scalar = Union[QuadInt, QuadRat, int]
 
 
 @dataclass(frozen=True)
 class Interval:
-    """A bounded interval with exact endpoints and per-end open/closed flags."""
+    """A bounded interval with exact endpoints and per-end open/closed flags.
+
+    Endpoints may be given as ``QuadRat`` or ``QuadInt`` and are stored as
+    ``QuadRat``; plain ``int`` endpoints need :meth:`closed` and a ring.
+    """
 
     lo: QuadRat
     hi: QuadRat
     lo_closed: bool = True
     hi_closed: bool = True
 
+    # (lo.num.a, lo.num.b, lo.den, hi.num.a, hi.num.b, hi.den)
+    _ends: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
-        d = (self.hi - self.lo).sign()
+        lo, hi = _as_rat(self.lo, None), _as_rat(self.hi, None)
+        _same_ring(lo.ring, hi.ring)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        la, lb, ld = lo.num.a, lo.num.b, lo.den
+        ha, hb, hd = hi.num.a, hi.num.b, hi.den
+        object.__setattr__(self, "_ends", (la, lb, ld, ha, hb, hd))
+        d = _sign_pair(lo.ring, ha * ld - la * hd, hb * ld - lb * hd)
         if d < 0:
             raise OutOfRangeError("interval endpoints out of order")
         if d == 0 and not (self.lo_closed and self.hi_closed):
@@ -54,13 +73,31 @@ class Interval:
         """The default window [0, 1]."""
         return cls.closed(0, 1, ring)
 
-    def contains(self, x: Scalar) -> bool:
-        v = _as_rat(x, self.lo.ring)
-        s = (v - self.lo).sign()
+    def contains_pair(self, a: int, b: int, den: int = 1) -> bool:
+        """Whether (a + b*beta)/den lies in the interval, for den > 0.
+
+        With lo = (la + lb*beta)/ld, the test x >= lo is the sign of
+        (a*ld - la*den) + (b*ld - lb*den)*beta, since both denominators are
+        positive; the upper end is the same with the roles swapped.
+        """
+        la, lb, ld, ha, hb, hd = self._ends
+        ring = self.lo.num.ring
+        s = _sign_pair(ring, a * ld - la * den, b * ld - lb * den)
         if s < 0 or (s == 0 and not self.lo_closed):
             return False
-        s = (self.hi - v).sign()
+        s = _sign_pair(ring, ha * den - a * hd, hb * den - b * hd)
         return s > 0 or (s == 0 and self.hi_closed)
+
+    def contains(self, x: Scalar) -> bool:
+        if isinstance(x, QuadInt):
+            _same_ring(self.lo.num.ring, x.ring)
+            return self.contains_pair(x.a, x.b)
+        if isinstance(x, QuadRat):
+            _same_ring(self.lo.num.ring, x.num.ring)
+            return self.contains_pair(x.num.a, x.num.b, x.den)
+        if isinstance(x, int):
+            return self.contains_pair(x, 0)
+        raise TypeError(f"cannot test membership of {type(x).__name__} in an interval")
 
     def __str__(self) -> str:
         # endpoints print in exact a,b pair form, so separate them with ".."
@@ -79,6 +116,12 @@ def _as_rat(x: Scalar, ring: RingSpec | None) -> QuadRat:
     if ring is None:
         raise OutOfRangeError("a plain integer endpoint needs an explicit ring")
     return QuadRat(ring.element(x), 1)
+
+
+def _same_ring(ring: RingSpec, other: RingSpec) -> None:
+    # identity first: the dataclass __eq__ of RingSpec is the slow path
+    if other is not ring and other != ring:
+        raise RingMismatchError(f"operands from different rings: {ring} vs {other}")
 
 
 @dataclass(frozen=True)
@@ -120,24 +163,36 @@ def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> Poi
 
     The search space is cut down exactly: x - conj(x) = b*sqrt(D) pins the
     integer range of b from the two interval constraints, then for each b the
-    admissible range of a is the intersection of two rational intervals.  The
-    final membership filter is exact, so the candidate ranges only need to be
-    wide enough.
+    admissible range of a is the intersection of two rational intervals,
+    whose ends are floors of integer pairs.  The final membership filter is
+    exact, so the candidate ranges only need to be wide enough.
     """
+    _same_ring(ring, window.lo.ring)
+    _same_ring(ring, span.lo.ring)
     sqrt_disc = ring.element(-ring.m, 2)  # 2*beta - m = sqrt(D) > 0
     inv_sqrt = QuadRat(sqrt_disc, ring.disc)  # 1/sqrt(D)
     b_lo = ((span.lo - window.hi) * inv_sqrt).floor()
     b_hi = ((span.hi - window.lo) * inv_sqrt).floor() + 1
+    m = ring.m
+    sla, slb, sld, sha, shb, shd = span._ends
+    wla, wlb, wld, wha, whb, whd = window._ends
+    in_span, in_window = span.contains_pair, window.contains_pair
     points: list[QuadInt] = []
     for b in range(b_lo, b_hi + 1):
-        b_beta = ring.element(0, b)
-        b_conj = b_beta.conj()
-        a_lo = max((span.lo - b_beta).floor(), (window.lo - b_conj).floor())
-        a_hi = min((span.hi - b_beta).floor(), (window.hi - b_conj).floor()) + 1
+        # floors of span.lo - b*beta, window.lo - b*conj(beta), and the same
+        # for the upper ends, with conj(beta) = m - beta
+        a_lo = max(
+            _floor_pair(ring, sla, slb - b * sld, sld),
+            _floor_pair(ring, wla - b * m * wld, wlb + b * wld, wld),
+        )
+        a_hi = min(
+            _floor_pair(ring, sha, shb - b * shd, shd),
+            _floor_pair(ring, wha - b * m * whd, whb + b * whd, whd),
+        ) + 1
+        mb = m * b
         for a in range(a_lo, a_hi + 1):
-            x = ring.element(a, b)
-            if span.contains(x) and window.contains(x.conj()):
-                points.append(x)
+            if in_span(a, b) and in_window(a + mb, -b):
+                points.append(QuadInt(ring, a, b))
     return PointSet(ring, tuple(_sorted_exact(ring, points)), span)
 
 
@@ -181,28 +236,43 @@ def check_convexity(ps: PointSet, s: QuadInt, window: Interval | None = None) ->
     falling outside the range are not counted).  Each violation records
     whether the combination's conjugate was inside ``window``, separating
     true gaps from window effects.
+
+    The combinations are formed on integer coordinates; (1-s)*y is computed
+    once per y, and a ``QuadInt`` is built only for a violation.
     """
     ring = ps.ring
+    _same_ring(ring, s.ring)
+    _same_ring(ring, ps.span.lo.ring)
+    if window is not None:
+        _same_ring(ring, window.lo.ring)
+    pts = ps.points
+    for p in pts:
+        _same_ring(ring, p.ring)
     c = s.conj()
     if c.sign() < 0 or (c - 1).sign() > 0:
         raise ParameterNotAdmissibleError(
             f"conj({s}) = {c} lies outside [0, 1]; not a window-side convex weight"
         )
-    one_minus = 1 - s
+    m, eps = ring.m, ring.eps
+    sa, sb = s.a, s.b
+    ua, ub = 1 - sa, -sb  # 1 - s
+    # products expand with beta^2 = m*beta + eps, as in QuadInt.__mul__
+    uys = [(ua * y.a + eps * ub * y.b, ua * y.b + ub * y.a + m * ub * y.b) for y in pts]
+    keys = ps._keys
+    in_span = ps.span.contains_pair
     violations: list[ConvexityViolation] = []
-    pairs = 0
-    pts = ps.points
     for x in pts:
-        sx = s * x
-        for y in pts:
-            if y is x:
+        xa, xb = x.a, x.b
+        sxa, sxb = sa * xa + eps * sb * xb, sa * xb + sb * xa + m * sb * xb
+        # y is x gives z = x, which is in ps, so it never adds a violation
+        for j, (uya, uyb) in enumerate(uys):
+            za, zb = sxa + uya, sxb + uyb
+            if (za, zb) in keys or not in_span(za, zb):
                 continue
-            pairs += 1
-            z = sx + one_minus * y
-            if z in ps or not ps.span.contains(z):
-                continue
-            inside = window.contains(z.conj()) if window is not None else None
-            violations.append(ConvexityViolation(x, y, z, inside))
+            inside = window.contains_pair(za + m * zb, -zb) if window is not None else None
+            violations.append(ConvexityViolation(x, pts[j], QuadInt(ring, za, zb), inside))
+    # every ordered pair except y is x (equal objects listed twice skip each other)
+    pairs = len(pts) ** 2 - sum(k * k for k in Counter(map(id, pts)).values())
     return ConvexityReport(s, pairs, tuple(violations))
 
 
@@ -233,25 +303,25 @@ def reconstruct_window(points: Sequence[QuadInt]) -> WindowReconstruction:
         raise MissingSeedsError("no points given")
     ring = next(iter(distinct)).ring
     for p in distinct:
-        if p.ring is not ring and p.ring != ring:
-            raise RingMismatchError(f"operands from different rings: {ring} vs {p.ring}")
-    pts = _sorted_exact(ring, distinct)
-    if ring.zero not in pts or ring.one not in pts:
+        _same_ring(ring, p.ring)
+    if ring.zero not in distinct or ring.one not in distinct:
         raise MissingSeedsError("window reconstruction needs both 0 and 1 among the points")
+    pts = _sorted_exact(ring, distinct)
     upper: list[QuadInt] = []
     lower: list[QuadInt] = []
     for prev, cur in zip(pts, pts[1:]):
-        if (cur - 1).sign() > 0:  # step reaches above 1
-            gap = cur - prev
-            if (gap - 1).sign() > 0:
+        da, db = cur.a - prev.a, cur.b - prev.b
+        if _sign_pair(ring, cur.a - 1, cur.b) > 0:  # step reaches above 1
+            if _sign_pair(ring, da - 1, db) > 0:
+                gap = QuadInt(ring, da, db)
                 raise ChainBrokenError(
                     f"gap {gap} (~{float(gap):.4f}) exceeds 1 above the seed interval",
                     gap=gap,
                 )
             upper.append(cur)
-        if prev.sign() < 0:  # step starts below 0
-            gap = cur - prev
-            if (gap - 1).sign() > 0:
+        if _sign_pair(ring, prev.a, prev.b) < 0:  # step starts below 0
+            if _sign_pair(ring, da - 1, db) > 0:
+                gap = QuadInt(ring, da, db)
                 raise ChainBrokenError(
                     f"gap {gap} (~{float(gap):.4f}) exceeds 1 below the seed interval",
                     gap=gap,

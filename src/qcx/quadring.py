@@ -325,6 +325,8 @@ class QuadInt:
         return NotImplemented
 
     def __lt__(self, other):
+        if type(other) is QuadInt and other.ring is self.ring:  # sort fast path
+            return _sign_pair(self.ring, self.a - other.a, self.b - other.b) < 0
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -496,9 +498,12 @@ class QuadRat:
         return self.den == 1
 
     def __eq__(self, other):
-        if isinstance(other, (QuadRat, QuadInt, int)):
-            o = self._coerce(other)
-            return self.num == o.num and self.den == o.den
+        # representations are normalized, so equal values have equal (num, den);
+        # QuadInt.__eq__ on the numerators handles other rings like QuadInt does
+        if isinstance(other, QuadRat):
+            return self.den == other.den and self.num == other.num
+        if isinstance(other, (QuadInt, int)):
+            return self.den == 1 and self.num == other
         return NotImplemented
 
     def __lt__(self, other):

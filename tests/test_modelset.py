@@ -45,6 +45,12 @@ def test_interval_semantics():
         Interval.closed(2, 1, GOLDEN)
     with pytest.raises(OutOfRangeError):
         Interval(w.lo, w.lo, True, False)  # degenerate must be closed
+    with pytest.raises(OutOfRangeError, match="needs an explicit ring"):
+        Interval(0, 1)
+    with pytest.raises(OutOfRangeError, match="needs an explicit ring"):
+        Interval(GOLDEN.zero, 1)
+    from_ring_ints = Interval(GOLDEN.zero, GOLDEN.one)
+    assert from_ring_ints == w and hash(from_ring_ints) == hash(w)
 
 
 def test_interval_irrational_endpoints():

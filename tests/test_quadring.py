@@ -222,6 +222,21 @@ def test_quadrat_mixed_comparison():
     assert hash(QuadRat(GOLDEN.element(2), 2)) == hash(GOLDEN.one)
 
 
+def test_quadrat_equality_across_rings():
+    # like QuadInt: rational values are equal in every ring, beta multiples never
+    assert QuadRat(GOLDEN.beta) != SILVER.beta and SILVER.beta != QuadRat(GOLDEN.beta)
+    assert QuadRat(GOLDEN.beta, 2) != QuadRat(SILVER.beta, 2)
+    assert QuadRat(GOLDEN.element(6), 4) == QuadRat(SILVER.element(3), 2) == QuadRat(MINUS4.element(3), 2)
+    assert QuadRat(GOLDEN.one) == SILVER.one and QuadRat(GOLDEN.element(4), 2) == 2
+    assert hash(QuadRat(GOLDEN.element(3), 2)) == hash(QuadRat(SILVER.element(3), 2))
+    mixed = [SILVER.beta, QuadRat(SILVER.beta, 3), MINUS4.one]
+    assert QuadRat(GOLDEN.beta) not in mixed and QuadRat(GOLDEN.beta, 3) not in mixed
+    assert QuadRat(GOLDEN.one) in mixed
+    assert len({QuadRat(GOLDEN.element(1), 2), QuadRat(SILVER.element(1), 2), QuadRat(GOLDEN.beta, 2)}) == 2
+    with pytest.raises(RingMismatchError):
+        QuadRat(GOLDEN.beta) < SILVER.beta
+
+
 # -- printing ----------------------------------------------------------------
 
 
