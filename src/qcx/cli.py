@@ -30,6 +30,7 @@ from .convexity import (
     Divisibility,
     Leaf,
     Witness,
+    _SERIALIZE_LIMIT,
     characterizing_params,
     classify_forcing,
     closure_bfs,
@@ -176,8 +177,8 @@ def _emit_witness(w: Witness, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(w.to_dict()))
     else:
-        if w.tree_size() > 200_000:
-            raise OutOfRangeError("witness unrolls to more than 200000 nodes")
+        if w.tree_size() > _SERIALIZE_LIMIT:
+            raise OutOfRangeError(f"witness unrolls to more than {_SERIALIZE_LIMIT} nodes")
         value = w.evaluate()
         print(f"value = {_pair(value)}")
         print(f"conj = {_pair(value.conj())}")
@@ -324,11 +325,14 @@ def _handle_witness(args) -> int:
 
 
 def _load_witness(args) -> Witness:
-    if args.infile == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if args.infile == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"witness is not valid JSON: {exc}") from exc
     w = Witness.from_dict(data)
     if args.m is not None or args.sign is not None:
         if args.m is None or args.sign is None:

@@ -43,14 +43,18 @@ from .errors import (
     NotInRingError,
     OutOfRangeError,
     OutOfWindowError,
+    ParseError,
     RingMismatchError,
 )
 from .modelset import Interval, PointSet
-from .quadring import QuadInt, QuadRat, RingSpec, _sorted_exact
+from .quadring import QuadInt, QuadRat, RingSpec, _sign_pair, _sorted_exact
 
 log = logging.getLogger("qcx.convexity")
 
 Scalar = Union[QuadInt, QuadRat, int]
+
+# Witness.to_dict and the CLI refuse witnesses unrolling to more nodes.
+_SERIALIZE_LIMIT = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +108,15 @@ def _pair_shift_down(m: int, eps: int, a: int, b: int) -> tuple[int, int]:
     return b - eps * m * a, eps * a
 
 
-def _eval_tree(ring: RingSpec, root: TreeNode, leaf0: tuple[int, int], leaf1: tuple[int, int],
-               memo: dict | None = None) -> tuple[int, int]:
-    """Exact value of a tree as an (a, b) pair; node = right + op*(left-right)/beta."""
+def _evaluator(ring: RingSpec, leaf0: tuple[int, int], leaf1: tuple[int, int], memo: dict):
+    """Memoised exact evaluation of witness nodes as (a, b) pairs.
+
+    Returns ``rec(node)``; node = right + op*(left-right)/beta, a leaf is
+    ``leaf1`` if its index is nonzero and ``leaf0`` otherwise.  Every node
+    evaluated, leaves included, is a key of ``memo``; callers sharing one
+    memo share the work on common subtrees.
+    """
     m, eps = ring.m, ring.eps
-    if memo is None:
-        memo = {}
 
     def rec(n) -> tuple[int, int]:
         v = memo.get(n)
@@ -121,12 +128,44 @@ def _eval_tree(ring: RingSpec, root: TreeNode, leaf0: tuple[int, int], leaf1: tu
             la, lb = rec(n.left)
             ra, rb = rec(n.right)
             da, db = n.op * (la - ra), n.op * (lb - rb)
-            sa, sb = db - eps * m * da, eps * da
-            v = (ra + sa, rb + sb)
+            v = (ra + db - eps * m * da, rb + eps * da)
         memo[n] = v
         return v
 
-    return rec(root)
+    return rec
+
+
+def _check_index(n: TreeNode, dmax: int) -> None:
+    """Raise DigitRangeError unless ``n`` is leaf 0 or 1 or has op index 1..dmax."""
+    if isinstance(n, Leaf):
+        if n.idx not in (0, 1):
+            raise DigitRangeError(f"leaf index {n.idx} must be 0 or 1")
+    elif not 1 <= n.op <= dmax:
+        raise DigitRangeError(f"op index {n.op} outside 1..{dmax}")
+
+
+def _in_hull(ring: RingSpec, values: Iterable[tuple[int, int]], lo: tuple[int, int],
+             hi: tuple[int, int]) -> bool:
+    """Whether every (a, b) pair of ``values`` lies in [lo, hi]; each distinct
+    pair is tested once, as witness DAGs repeat values."""
+    la, lb = lo
+    ha, hb = hi
+    for a, b in set(values):
+        if _sign_pair(ring, a - la, b - lb) < 0 or _sign_pair(ring, ha - a, hb - b) < 0:
+            return False
+    return True
+
+
+def _field(d, key: str, kind: type = int):
+    """``d[key]`` of exactly type ``kind``; ParseError if it is missing or of another type."""
+    if type(d) is not dict:
+        raise ParseError(f"witness: expected an object with a {key!r} field, not {type(d).__name__}")
+    if key not in d:
+        raise ParseError(f"witness needs a {key!r} field")
+    v = d[key]
+    if type(v) is not kind:
+        raise ParseError(f"witness field {key!r} must be {kind.__name__}, not {type(v).__name__}")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +193,7 @@ class Witness:
         return (s0.a, s0.b), (s1.a, s1.b)
 
     def evaluate(self) -> QuadInt:
-        l0, l1 = self._leaf_pairs()
-        a, b = _eval_tree(self.ring, self.root, l0, l1)
+        a, b = _evaluator(self.ring, *self._leaf_pairs(), {})(self.root)
         return self.ring.element(a, b)
 
     def evaluate_conj(self) -> QuadInt:
@@ -208,7 +246,7 @@ class Witness:
 
     # -- serialization ----------------------------------------------------
 
-    def to_dict(self, size_limit: int = 200_000) -> dict:
+    def to_dict(self, size_limit: int = _SERIALIZE_LIMIT) -> dict:
         if self.tree_size() > size_limit:
             raise OutOfRangeError(
                 f"witness unrolls to more than {size_limit} nodes; refusing to serialize"
@@ -227,22 +265,31 @@ class Witness:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Witness":
-        ring = RingSpec.make(int(data["ring"]["m"]), data["ring"]["sign"])
+    def from_dict(cls, data) -> "Witness":
+        """Inverse of ``to_dict``.  Raises ParseError for a missing field or
+        one of the wrong type and DigitRangeError for a leaf index other than
+        0 or 1 or an op index outside 1..digit_max."""
+        spec = _field(data, "ring", dict)
+        ring = RingSpec.make(_field(spec, "m"), _field(spec, "sign", str))
+        dmax = ring.digit_max
+
+        def pair(d) -> QuadInt:
+            return ring.element(_field(d, "a"), _field(d, "b"))
 
         def rec(d) -> TreeNode:
-            if "leaf" in d:
-                idx = int(d["leaf"])
-                if idx not in (0, 1):
-                    raise DigitRangeError(f"leaf index {idx} must be 0 or 1")
-                return LEAF_ONE if idx else LEAF_ZERO
-            return Node(int(d["op"]), rec(d["left"]), rec(d["right"]))
+            if type(d) is dict and "leaf" in d:
+                leaf = Leaf(_field(d, "leaf"))
+                _check_index(leaf, dmax)
+                return LEAF_ONE if leaf.idx else LEAF_ZERO
+            n = Node(_field(d, "op"), rec(_field(d, "left", dict)), rec(_field(d, "right", dict)))
+            _check_index(n, dmax)
+            return n
 
-        seeds = tuple(ring.element(int(s["a"]), int(s["b"])) for s in data["seeds"])
+        seeds = tuple(pair(s) for s in _field(data, "seeds", list))
         if len(seeds) != 2:
             raise MissingSeedsError("witness needs exactly two seeds")
-        offset = ring.element(int(data["offset"]["a"]), int(data["offset"]["b"]))
-        return cls(ring, rec(data["root"]), seeds, offset)
+        offset = pair(_field(data, "offset", dict))
+        return cls(ring, rec(_field(data, "root", dict)), seeds, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -436,23 +483,6 @@ def _tree_from_digits(ring: RingSpec, digits: Sequence[int]) -> TreeNode:
     return node
 
 
-def _swap_leaves(root: TreeNode, memo: dict | None = None) -> TreeNode:
-    """Exchange the two seed references; maps value v to 1 - v on seeds {0, 1}."""
-    if memo is None:
-        memo = {}
-
-    def rec(n) -> TreeNode:
-        if isinstance(n, Leaf):
-            return LEAF_ZERO if n.idx else LEAF_ONE
-        r = memo.get(n)
-        if r is None:
-            r = Node(n.op, rec(n.left), rec(n.right))
-            memo[n] = r
-        return r
-
-    return rec(root)
-
-
 def _as_ring_element(ring: RingSpec, x) -> QuadInt:
     if isinstance(x, QuadInt):
         if x.ring != ring:
@@ -500,7 +530,7 @@ def witness_for(ring: RingSpec, target, offset=None) -> Witness:
         root = _tree_from_digits(ring, digits)
     else:
         digits = list(expand_greedy(one_minus).fraction_digits())
-        root = _swap_leaves(_tree_from_digits(ring, digits))
+        root = _substituter(LEAF_ZERO, LEAF_ONE, {})(_tree_from_digits(ring, digits))
     w = Witness(ring, root, (ring.zero, ring.one), c)
     if not verify_witness(w, t):  # pragma: no cover - construction invariant
         raise AssertionError(f"constructed witness failed verification for {t}")
@@ -509,42 +539,20 @@ def witness_for(ring: RingSpec, target, offset=None) -> Witness:
 
 def verify_witness(w: Witness, claimed) -> bool:
     """Exact check: the witness evaluates to ``claimed`` and every
-    intermediate value stays inside the convex hull of its seed pair."""
+    intermediate value stays inside the convex hull of its seed pair.
+    Raises DigitRangeError for a leaf index other than 0 or 1 or an op
+    index outside 1..digit_max."""
     ring = w.ring
     t = _as_ring_element(ring, claimed)
     l0, l1 = w._leaf_pairs()
-    m, eps = ring.m, ring.eps
-    lo = min(ring.element(*l0), ring.element(*l1))
-    hi = max(ring.element(*l0), ring.element(*l1))
-    dmax = ring.digit_max
     memo: dict = {}
-    ok = True
-
-    def rec(n) -> tuple[int, int]:
-        nonlocal ok
-        v = memo.get(n)
-        if v is not None:
-            return v
-        if isinstance(n, Leaf):
-            if n.idx not in (0, 1):
-                raise DigitRangeError(f"leaf index {n.idx} must be 0 or 1")
-            v = l1 if n.idx else l0
-        else:
-            if not 1 <= n.op <= dmax:
-                raise DigitRangeError(f"op index {n.op} outside 1..{dmax}")
-            la, lb = rec(n.left)
-            ra, rb = rec(n.right)
-            da, db = n.op * (la - ra), n.op * (lb - rb)
-            sa, sb = db - eps * m * da, eps * da
-            v = (ra + sa, rb + sb)
-            val = ring.element(*v)
-            if val < lo or hi < val:
-                ok = False
-        memo[n] = v
-        return v
-
-    a, b = rec(w.root)
-    return ok and (a, b) == (t.a, t.b)
+    value = _evaluator(ring, l0, l1, memo)(w.root)
+    dmax = ring.digit_max
+    for n in memo:
+        _check_index(n, dmax)
+    if _sign_pair(ring, l1[0] - l0[0], l1[1] - l0[1]) < 0:
+        l0, l1 = l1, l0
+    return _in_hull(ring, memo.values(), l0, l1) and value == (t.a, t.b)
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +577,25 @@ def _op_coeff_pair(ring: RingSpec, i: int) -> tuple[int, int]:
 def _formal_coefficient(ring: RingSpec, root: TreeNode) -> tuple[int, int]:
     """Left-leaf coefficient of a tree over formal seeds: value with
     leaf1 -> 1, leaf0 -> 0.  A tree computes c*x + (1-c)*y; this returns c."""
-    return _eval_tree(ring, root, (0, 0), (1, 0))
+    return _evaluator(ring, (0, 0), (1, 0), {})(root)
 
 
-def _instantiate(tmpl: TreeNode, for_one: TreeNode, for_zero: TreeNode) -> TreeNode:
-    memo: dict = {}
+def _substituter(for_one: TreeNode, for_zero: TreeNode, memo: dict):
+    """Memoised leaf substitution: ``rec(tree)`` is ``tree`` with leaf 1
+    replaced by ``for_one`` and leaf 0 by ``for_zero``; shared subtrees
+    stay shared through ``memo``."""
 
     def rec(n) -> TreeNode:
-        if isinstance(n, Leaf):
-            return for_one if n.idx else for_zero
         r = memo.get(n)
         if r is None:
-            r = Node(n.op, rec(n.left), rec(n.right))
+            if isinstance(n, Leaf):
+                r = for_one if n.idx else for_zero
+            else:
+                r = Node(n.op, rec(n.left), rec(n.right))
             memo[n] = r
         return r
 
-    return rec(tmpl)
+    return rec
 
 
 @lru_cache(maxsize=None)
@@ -617,10 +628,7 @@ def _template_search(
                             log.debug("template search for %d/beta: work budget out", j)
                             return None
                         # c = y + i*(x - y)/beta in coefficient space
-                        dqa, dqb = ca - da_, cb - db_
-                        ta = i * dqa
-                        tb = i * dqb
-                        sa, sb = tb - eps * m * ta, eps * ta
+                        sa, sb = _pair_shift_down(m, eps, i * (ca - da_), i * (cb - db_))
                         z = (da_ + sa, db_ + sb)
                         if z in states:
                             continue
@@ -710,8 +718,34 @@ def _apply_rewrite(kind: tuple, left: TreeNode, right: TreeNode) -> TreeNode:
         inner = left if k == 0 else Node(k, right, left)
         return Node(1, inner, Node(k + 1, right, left))
     if tag == "template":
-        return _instantiate(kind[1], left, right)
+        return _substituter(left, right, {})(kind[1])
     raise AssertionError(f"unknown rewrite tag {tag!r}")  # pragma: no cover
+
+
+def _reducer(ring: RingSpec, cap: int, memo: dict):
+    """Memoised op index reduction: ``rec(tree)`` rewrites every op index
+    above ``cap`` by its ``_checked_rewrite`` rule, looked up once per index.
+    Unchanged subtrees are returned as they are."""
+    rules: dict = {}
+
+    def rec(n) -> TreeNode:
+        r = memo.get(n)
+        if r is None:
+            if isinstance(n, Leaf):
+                r = n
+            else:
+                kind = rules.get(n.op)
+                if kind is None:
+                    kind = rules[n.op] = _checked_rewrite(ring, cap, n.op)
+                if kind[0] == "direct":
+                    nl, nr = rec(n.left), rec(n.right)
+                    r = n if nl is n.left and nr is n.right else Node(n.op, nl, nr)
+                else:
+                    r = _apply_rewrite(kind, rec(n.left), rec(n.right))
+            memo[n] = r
+        return r
+
+    return rec
 
 
 def reduce_witness(w: Witness, max_index: int | None = None) -> Witness:
@@ -724,23 +758,7 @@ def reduce_witness(w: Witness, max_index: int | None = None) -> Witness:
     cap = index_cap(ring) if max_index is None else max_index
     if cap < 1:
         raise OutOfRangeError("index cap must be at least 1")
-    memo: dict = {}
-
-    def rec(n) -> TreeNode:
-        if isinstance(n, Leaf):
-            return n
-        r = memo.get(n)
-        if r is None:
-            kind = _checked_rewrite(ring, cap, n.op)
-            if kind[0] == "direct":
-                nl, nr = rec(n.left), rec(n.right)
-                r = n if nl is n.left and nr is n.right else Node(n.op, nl, nr)
-            else:
-                r = _apply_rewrite(kind, rec(n.left), rec(n.right))
-            memo[n] = r
-        return r
-
-    reduced = Witness(ring, rec(w.root), w.seeds, w.offset)
+    reduced = Witness(ring, _reducer(ring, cap, {})(w.root), w.seeds, w.offset)
     if not verify_witness(reduced, w.evaluate()):  # pragma: no cover - rewrite invariant
         raise AssertionError("reduced witness failed verification")
     return reduced
@@ -946,9 +964,15 @@ def scan_witness_completeness(
     with expansion length at most ``max_len`` (minus family: complements too).
 
     Equivalent to running ``witness_for`` / ``verify_witness`` /
-    ``reduce_witness`` per element, but all targets of one ring share a
-    single tree DAG and memoized evaluation, which keeps full sweeps over
-    hundreds of thousands of strings fast.
+    ``reduce_witness`` per element, and built from the same parts: the
+    evaluator, the reducer and the leaf substituter (for complements) of
+    those functions, each with one memo shared by all targets of the ring,
+    and the same seed hull check, made once over every value evaluated.
+    Only the walk is its own: a depth-first search over admissible digit
+    strings that extends the witness DAG of a prefix by one digit, as
+    ``_tree_from_digits`` does for a whole string, so the targets share
+    their common subtrees.  ``nodes`` counts the distinct DAG nodes
+    evaluated, leaves included.
     """
     if max_len < 1:
         raise OutOfRangeError("max_len must be at least 1")
@@ -956,74 +980,20 @@ def scan_witness_completeness(
     cap = index_cap(ring) if max_index is None else max_index
     if cap < 1:
         raise OutOfRangeError("index cap must be at least 1")
-    disc = ring.disc
     dmax = ring.digit_max
-
-    # rewrite descriptors for every op index the builder can emit
-    rewrites = {i: _checked_rewrite(ring, cap, i) for i in range(1, dmax + 1)}
 
     # 1/beta^k pairs for incremental target values
     invpow = [(1, 0)]
     for _ in range(max_len):
         invpow.append(_pair_shift_down(m, eps, *invpow[-1]))
 
-    def sgn(a: int, b: int) -> int:
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if b > 0:
-            t = -2 * a - m * b
-            if t < 0:
-                return 1
-            return 1 if b * b * disc > t * t else -1
-        q = -b
-        t = 2 * a - m * q
-        if t < 0:
-            return -1
-        return 1 if t * t > q * q * disc else -1
-
     failures = 0
     first_failure: str | None = None
-    hull_ok = True
 
-    val: dict = {LEAF_ZERO: (0, 0), LEAF_ONE: (1, 0)}
-
-    def ev(n) -> tuple[int, int]:
-        nonlocal hull_ok
-        v = val.get(n)
-        if v is not None:
-            return v
-        la, lb = ev(n.left)
-        ra, rb = ev(n.right)
-        da, db = n.op * (la - ra), n.op * (lb - rb)
-        va, vb = ra + db - eps * m * da, rb + eps * da
-        if sgn(va, vb) < 0 or sgn(1 - va, -vb) < 0:
-            hull_ok = False
-        v = (va, vb)
-        val[n] = v
-        return v
-
-    red: dict = {LEAF_ZERO: LEAF_ZERO, LEAF_ONE: LEAF_ONE}
-
-    def rd(n):
-        r = red.get(n)
-        if r is None:
-            kind = rewrites[n.op]
-            if kind[0] == "direct":
-                nl, nr = rd(n.left), rd(n.right)
-                r = n if nl is n.left and nr is n.right else Node(n.op, nl, nr)
-            else:
-                r = _apply_rewrite(kind, rd(n.left), rd(n.right))
-            red[n] = r
-        return r
-
-    swp: dict = {LEAF_ZERO: LEAF_ONE, LEAF_ONE: LEAF_ZERO}
-
-    def sw(n):
-        r = swp.get(n)
-        if r is None:
-            r = Node(n.op, sw(n.left), sw(n.right))
-            swp[n] = r
-        return r
+    val: dict = {}
+    ev = _evaluator(ring, (0, 0), (1, 0), val)
+    rd = _reducer(ring, cap, {})
+    sw = _substituter(LEAF_ZERO, LEAF_ONE, {})
 
     mix: dict = {LEAF_ZERO: 0, LEAF_ONE: 0}
 
@@ -1037,8 +1007,6 @@ def scan_witness_completeness(
     targets = 2  # the endpoints, witnessed by bare leaves
     complements = 0
     max_op_seen = 0
-    if ev(LEAF_ZERO) != (0, 0) or ev(LEAF_ONE) != (1, 0):  # pragma: no cover
-        raise AssertionError("leaf evaluation is broken")
 
     def fail(msg: str) -> None:
         nonlocal failures, first_failure
@@ -1115,7 +1083,7 @@ def scan_witness_completeness(
 
     dfs(0, LEAF_ZERO, LEAF_ONE, 0, 0, False, False, 0)
 
-    if not hull_ok:
+    if not _in_hull(ring, val.values(), (0, 0), (1, 0)):
         fail("an intermediate witness value left the seed hull")
     log.info(
         "scan %s len<=%d: %d targets, %d complements, %d failures, %d nodes",

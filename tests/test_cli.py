@@ -289,6 +289,31 @@ def test_pinch(capsys, tmp_path):
     assert rc == 2 and err.startswith("qcx:")       # exponent below tree depth
 
 
+def golden_witness_text(root):
+    return json.dumps({
+        "ring": {"m": 1, "sign": "+"},
+        "seeds": [{"a": 0, "b": 0}, {"a": 1, "b": 0}],
+        "offset": {"a": 0, "b": 0},
+        "root": root,
+    })
+
+
+@pytest.mark.parametrize("text", [
+    "{}",                                                          # no ring
+    "[1]",                                                         # not an object
+    golden_witness_text({"op": "x", "left": {"leaf": 1}, "right": {"leaf": 0}}),
+    "not json",
+    golden_witness_text({"op": 0, "left": {"leaf": 1}, "right": {"leaf": 0}}),
+    golden_witness_text({"op": 2, "left": {"leaf": 1}, "right": {"leaf": 0}}),  # digit_max + 1
+], ids=["missing-key", "wrong-type", "op-not-int", "not-json", "op-0", "op-above-digit-max"])
+def test_malformed_witness_input(capsys, tmp_path, text):
+    src = tmp_path / "w.json"
+    src.write_text(text)
+    for argv in (("reduce",), ("pinch", "--n", "2")):
+        rc, out, err = run(capsys, *argv, "--in", str(src))
+        assert rc == 2 and out == "" and err.startswith("qcx:")
+
+
 # -- classify / sweep / params -----------------------------------------------
 
 

@@ -21,6 +21,7 @@ from qcx import (
     OutOfRangeError,
     OutOfWindowError,
     ParamSet,
+    ParseError,
     QuadRat,
     RingMismatchError,
     RingSpec,
@@ -167,6 +168,13 @@ def test_witness_serialization():
     assert back.evaluate() == w.evaluate()
     with pytest.raises(DigitRangeError):
         Witness.from_dict({**d, "root": {"leaf": 2}})
+    for op in (0, GOLDEN.digit_max + 1):
+        with pytest.raises(DigitRangeError):
+            Witness.from_dict({**d, "root": {"op": op, "left": {"leaf": 1}, "right": {"leaf": 0}}})
+    for bad in ({}, [1], {**d, "offset": [0, 0]}, {**d, "root": {"op": "1"}},
+                {**d, "seeds": [{"a": 0, "b": 0}, {"a": 1}]}):
+        with pytest.raises(ParseError):
+            Witness.from_dict(bad)
 
 
 def test_serialization_guard_on_huge_dags():
