@@ -331,9 +331,13 @@ def _load_witness(args) -> Witness:
         else:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+        w = Witness.from_dict(data)
+    except OSError as exc:
+        raise ParseError(f"cannot read witness file {args.infile!r}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"witness is not valid JSON: {exc}") from exc
-    w = Witness.from_dict(data)
+    except RecursionError as exc:
+        raise ParseError("witness nests too deeply to read") from exc
     if args.m is not None or args.sign is not None:
         if args.m is None or args.sign is None:
             raise ParseError("--m and --sign go together")

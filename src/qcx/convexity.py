@@ -26,10 +26,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from itertools import chain, repeat
-from math import comb
-from operator import add
+from functools import lru_cache, reduce
+from itertools import chain, compress, count, repeat
+from math import comb, gcd, isqrt
+from operator import add, or_
 from typing import Iterable, Sequence, Union
 
 from .betanum import expand_greedy, has_finite_expansion
@@ -327,18 +327,27 @@ def closure_bfs(
     span: Interval | None = None,
     node_cap: int = 1_000_000,
 ) -> PointSet:
-    """Iterate all parameters over all ordered pairs for ``depth`` rounds.
+    """The points reached from ``seeds`` in ``depth`` rounds; each round applies
+    every parameter s to every ordered pair x, y known at its start.
 
     Intermediate values are never discarded (they keep generating) and the
     optional ``span`` filter applies to the returned set only.  Raises
-    BudgetExceededError when the accumulated set outgrows ``node_cap``.
+    BudgetExceededError in the round whose accumulated set outgrows
+    ``node_cap``.
 
-    Points are handled as integer pairs (a, b) and deduplicated through the
-    integer keys a*stride + b.  The stride is set afresh at the start of each
-    round from the largest coordinate known so far, just wide enough that no
-    candidate of that round can wrap, so the keys stay small integers.  The
-    result is ordered by a fixed-point key sort whose order is then
-    certified (and, if needed, repaired) by exact integer sign tests.
+    Points are handled as integer pairs (a, b), translated so that the first
+    seed is the origin (s*x + (1-s)*y commutes with translation).  When every
+    parameter is convex on one side (s in [0, 1] for all, or conj(s) in [0, 1]
+    for all, decided by exact sign tests) the points lie in a strip of the
+    lattice.  A round then keys points by L(a, b) = p*a + q*b, injective on
+    its candidates and nearly consecutive along the strip, and finds the keys
+    of all s*x + (1-s)*y as an exact sumset: one big-number product of
+    slot-encoded key sets per parameter and direction (``_sumset_round``).
+    Parameter sets without a common side, and rounds where a sumset would
+    cost more time or memory than the pair loop (see ``_SUMSET_SPARSITY``),
+    run the pair loop (``_pair_round``).  The result is ordered by a fixed-point key sort whose
+    order is then certified (and, if needed, repaired) by exact integer sign
+    tests.
     """
     seed_list = list(seeds)
     if not seed_list:
@@ -358,63 +367,30 @@ def closure_bfs(
         if v.ring != ring:
             raise RingMismatchError("seeds and parameters must share one ring")
 
-    m, eps = ring.m, ring.eps
     param_pairs = [(p.a, p.b) for p in param_list]
-    # A candidate p*x + (1-p)*y has coordinates of magnitude at most
-    # growth * mag when those of x and y are at most mag:
-    # |p*x| <= (|pa| + (m+1)|pb|) * mag and |(1-p)*y| <= (1 + |pa| + (m+1)|pb|) * mag.
-    growth = 3
-    for pa, pb in param_pairs:
-        growth = max(growth, 1 + 2 * (abs(pa) + (m + 1) * abs(pb)))
-
-    order = list(dict.fromkeys((s.a, s.b) for s in seed_list))
+    side = _strip_side(ring, param_pairs)
+    oa, ob = seed_list[0].a, seed_list[0].b
+    order = list(dict.fromkeys((s.a - oa, s.b - ob) for s in seed_list))
     frontier_len = len(order)  # order[-frontier_len:] is new since last round
-
-    def keys(pa: int, pb: int, stride: int) -> list[int]:
-        # keys of (pa + pb*beta) * (a + b*beta) for every (a, b) in order
-        return [(pa * a + eps * pb * b) * stride + pa * b + pb * a + m * pb * b for a, b in order]
-
-    for round_no in range(depth):
+    debug = log.isEnabledFor(logging.DEBUG)
+    for round_no in range(1, depth + 1):
         if not frontier_len:
             break
-        # Dedup keys are a*stride + b with stride a power of two, set afresh
-        # each round from the largest coordinate so far: every candidate of
-        # this round has |b| <= growth * mag < stride/4, so keys decode
-        # without wrapping, and no wider stride than that is paid for.
-        mag = max(map(abs, chain.from_iterable(order)))
-        bits = (growth * mag).bit_length() + 2
-        stride = 1 << bits
-        half = stride >> 1
-        mask = stride - 1
-        known = {a * stride + b for a, b in order}
-        seen = set(known)
-        seen_update = seen.update
-        n = len(order)
-        for pa, pb in param_pairs:
-            # z = p*x + (1-p)*y and its reflection w = (1-p)*x + p*y; one pass
-            # over unordered pairs covers both orders of x |- y.  Keys are
-            # linear in the coordinates, so key(z) = key(p*x) + key((1-p)*y)
-            # and each candidate costs one integer add.
-            kp = keys(pa, pb, stride)
-            kq = keys(1 - pa, -pb, stride)
-            for i in range(n - frontier_len, n):
-                # x = order[i] is new; y runs over the points before it
-                seen_update(map(add, repeat(kp[i]), kq[:i]))
-                seen_update(map(add, repeat(kq[i]), kp[:i]))
-                if len(seen) > node_cap:
-                    raise BudgetExceededError(
-                        f"closure exceeded {node_cap} points at round {round_no + 1}"
-                    )
-        fresh = seen - known
-        for key in fresh:
-            b = key & mask
-            if b >= half:
-                b -= stride
-            order.append(((key - b) >> bits, b))
+        path = "sumset"
+        step = _sumset_round(ring, order, frontier_len, param_pairs, side) if side else None
+        if step is None:
+            path = "pairs"
+            step = _pair_round(ring, order, frontier_len, param_pairs, node_cap, round_no)
+        fresh, candidates, bits = step
+        order.extend(fresh)
         frontier_len = len(fresh)
-        log.debug("closure round %d: %d new, %d total", round_no + 1, frontier_len, len(order))
+        if len(order) > node_cap:
+            raise BudgetExceededError(f"closure exceeded {node_cap} points at round {round_no}")
+        if debug:
+            log.debug("closure round %d: %d new, %d total, %s path, %d candidates, %d key bits",
+                      round_no, frontier_len, len(order), path, candidates, bits)
 
-    points = [QuadInt(ring, a, b) for a, b in order]
+    points = [QuadInt(ring, a + oa, b + ob) for a, b in order]
     if span is not None:
         points = [p for p in points if span.contains(p)]
     points = _sorted_exact(ring, points)
@@ -424,6 +400,170 @@ def closure_bfs(
         else:  # pragma: no cover - seeds are never empty
             span = Interval.closed(0, 0, ring)
     return PointSet(ring, tuple(points), span)
+
+
+# A round runs the pair loop where a sumset would take more time or memory:
+# where its products have more digits than _DIGITS_PER_PAIR times the pairs
+# the loop would form (a candidate of the loop costs about what a product
+# digit does), or where its factors span more than _SUMSET_SPARSITY key
+# slots per key, which bounds the memory of a sumset by the number of points.
+_DIGITS_PER_PAIR = 1
+_SUMSET_SPARSITY = 256
+
+# decimal digit -> 1 if it is nonzero, else 0
+_NONZERO = bytes.maketrans(b"0123456789", b"\x00" + b"\x01" * 9)
+
+
+def _strip_side(ring: RingSpec, param_pairs: list[tuple[int, int]]) -> int:
+    """-1 if conj(s) lies in [0, 1] for every parameter s, +1 if s does, else 0.
+
+    On side -1 the conjugates of a closure stay in the hull of the conjugated
+    seeds, on side +1 the points stay in the hull of the seeds; either way the
+    points lie in a strip of the (a, b) lattice."""
+    m = ring.m
+
+    def unit(a: int, b: int) -> bool:
+        return _sign_pair(ring, a, b) >= 0 and _sign_pair(ring, 1 - a, -b) >= 0
+
+    if all(unit(pa + m * pb, -pb) for pa, pb in param_pairs):
+        return -1
+    if all(unit(pa, pb) for pa, pb in param_pairs):
+        return 1
+    return 0
+
+
+def _slot_digits(keys: list[int], lo: int, hi: int, width: int) -> str:
+    """The decimal digits of the sum of 10^(width*(k - lo)) over the keys."""
+    digits = bytearray(b"0") * ((hi - lo + 1) * width)
+    for k in keys:
+        digits[(hi - k + 1) * width - 1] = 49  # b"1"
+    return digits.decode()
+
+
+def _sumset_round(ring: RingSpec, order: list[tuple[int, int]], frontier_len: int,
+                  param_pairs: list[tuple[int, int]], side: int):
+    """The new points of one round as a strip sumset, or None where the pair
+    loop is cheaper.
+
+    Returns ``(new_points, candidates, key_bits)``.  Each point has the key
+    L(a, b) = p*a + q*b with p = 2*bmax + 1, bmax a bound on |b| over the
+    candidates, and gcd(p, q) = 1, so L is injective on them (a collision
+    would need p | db); q ~ p*beta (side +1) or p*beta' (side -1) makes the keys of
+    the strip nearly consecutive integers.  L is linear, so the keys of
+    s*x + (1-s)*y are the sums of those of s*x and (1-s)*y: for each
+    parameter, one product of two slot-encoded numbers counts them for x new
+    and y known, one more for x known and y new.  A slot has enough decimal
+    digits for any count, so none carries.
+    """
+    # imported here, not with the module: it would add about 1 ms to every
+    # import of qcx.  Its products of long numbers run in O(n log n).
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
+
+    multiply = Context(prec=MAX_PREC, Emax=MAX_EMAX).multiply  # never rounds
+    m, eps = ring.m, ring.eps
+    n = len(order)
+    new = n - frontier_len
+    bmax = 0
+    for pa, pb in param_pairs:
+        c = pa + m * pb  # b-coordinate of s*x is pb*a + c*b, of (1-s)*x is -pb*a + (1-c)*b
+        bmax = max(bmax, max(abs(pb * a + c * b) for a, b in order)
+                   + max(abs((1 - c) * b - pb * a) for a, b in order))
+    p = 2 * bmax + 1
+    q = (p * m + side * isqrt(p * p * ring.disc)) >> 1  # beta, beta' = (m +- sqrt(D))/2
+    while gcd(p, q) != 1:
+        q += 1
+    width = len(str(frontier_len))  # 10^width > any slot count
+    acc, origin = 0, None
+    for pa, pb in param_pairs:
+        # L(s*x) = alpha*a + delta*b and L((1-s)*x) = L(x) - L(s*x)
+        alpha, delta = p * pa + q * pb, p * eps * pb + q * (pa + m * pb)
+        ks = [alpha * a + delta * b for a, b in order]
+        kr = [(p - alpha) * a + (q - delta) * b for a, b in order]
+        for xs, ys in ((ks[new:], kr), (ks, kr[new:])):
+            lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+            span = hi_x - lo_x + hi_y - lo_y + 1  # slots of the product
+            if (span * width > _DIGITS_PER_PAIR * len(xs) * len(ys)
+                    or span > _SUMSET_SPARSITY * (len(xs) + len(ys))):
+                return None
+            prod = multiply(Decimal(_slot_digits(xs, lo_x, hi_x, width)),
+                            Decimal(_slot_digits(ys, lo_y, hi_y, width)))
+            # one byte per decimal digit, 1 where the digit is nonzero
+            flags = int.from_bytes(str(prod).encode().translate(_NONZERO), "big")
+            lo = lo_x + lo_y
+            if origin is None:
+                acc, origin = flags, lo
+            elif lo >= origin:
+                acc |= flags << (8 * width * (lo - origin))
+            else:
+                acc = (acc << (8 * width * (origin - lo))) | flags
+                origin = lo
+    # one byte per slot, 1 where some digit of the slot is nonzero
+    slots = -(-acc.bit_length() // (8 * width))
+    acc = acc.to_bytes(slots * width, "little")
+    hit = bytearray(reduce(or_, (int.from_bytes(acc[j::width], "little") for j in range(width)))
+                    .to_bytes(slots, "little"))
+    candidates = hit.count(1)
+    for a, b in order:
+        t = p * a + q * b - origin
+        if 0 <= t < slots:
+            hit[t] = 0
+    # key = p*a + q*b with -bmax <= b <= bmax, so b + bmax = key/q mod p
+    q_inv = pow(q, -1, p)
+    fresh = [((key - q * b) // p, b) for key in compress(count(origin), hit)
+             for b in ((key * q_inv + bmax) % p - bmax,)]
+    return fresh, candidates, p.bit_length()
+
+
+def _pair_round(ring: RingSpec, order: list[tuple[int, int]], frontier_len: int,
+                param_pairs: list[tuple[int, int]], node_cap: int, round_no: int):
+    """The new points of one round by the loop over all new x known pairs.
+
+    Returns ``(new_points, candidates, key_bits)``.  Dedup keys are
+    a*stride + b with stride = 2^key_bits set from the largest coordinate so
+    far, so that every candidate of this round has |b| < stride/4 and keys
+    decode without wrapping.
+    """
+    m, eps = ring.m, ring.eps
+    # A candidate p*x + (1-p)*y has coordinates of magnitude at most
+    # growth * mag when those of x and y are at most mag:
+    # |p*x| <= (|pa| + (m+1)|pb|) * mag and |(1-p)*y| <= (1 + |pa| + (m+1)|pb|) * mag.
+    growth = 3
+    for pa, pb in param_pairs:
+        growth = max(growth, 1 + 2 * (abs(pa) + (m + 1) * abs(pb)))
+    mag = max(map(abs, chain.from_iterable(order)))
+    bits = (growth * mag).bit_length() + 2
+    stride = 1 << bits
+    half = stride >> 1
+    mask = stride - 1
+
+    def keys(pa: int, pb: int) -> list[int]:
+        # keys of (pa + pb*beta) * (a + b*beta) for every (a, b) in order
+        return [(pa * a + eps * pb * b) * stride + pa * b + pb * a + m * pb * b for a, b in order]
+
+    n = len(order)
+    # x |- x = x for each new x, as the sumset counts it among the candidates
+    seen = {a * stride + b for a, b in order[n - frontier_len:]}
+    seen_update = seen.update
+    for pa, pb in param_pairs:
+        # z = p*x + (1-p)*y and its reflection w = (1-p)*x + p*y; one pass
+        # over unordered pairs covers both orders of x |- y.  Keys are
+        # linear in the coordinates, so key(z) = key(p*x) + key((1-p)*y)
+        # and each candidate costs one integer add.
+        kp = keys(pa, pb)
+        kq = keys(1 - pa, -pb)
+        for i in range(n - frontier_len, n):
+            # x = order[i] is new; y runs over the points before it
+            seen_update(map(add, repeat(kp[i]), kq[:i]))
+            seen_update(map(add, repeat(kq[i]), kp[:i]))
+            if len(seen) > node_cap:
+                raise BudgetExceededError(f"closure exceeded {node_cap} points at round {round_no}")
+    fresh = []
+    for key in seen.difference(a * stride + b for a, b in order):
+        b = key & mask
+        if b >= half:
+            b -= stride
+        fresh.append(((key - b) >> bits, b))
+    return fresh, len(seen), bits
 
 
 # ---------------------------------------------------------------------------

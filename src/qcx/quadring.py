@@ -26,7 +26,7 @@ from typing import Iterable, Union
 
 from .errors import OutOfRangeError, RingMismatchError
 
-# Fixed-point scale used for integer floor estimates (adjusted exactly afterwards).
+# Fixed-point scale of the sort keys of _sorted_exact (certified exactly afterwards).
 _SQRT_BITS = 64
 
 
@@ -84,7 +84,7 @@ class RingSpec:
 
     @cached_property
     def _sqrt_disc_scaled(self) -> int:
-        # floor(sqrt(D) * 2^_SQRT_BITS), used to seed exact floor computations.
+        # floor(sqrt(D) * 2^_SQRT_BITS), the slope of the _sorted_exact sort key.
         return isqrt(self.disc << (2 * _SQRT_BITS))
 
     # -- element factories ------------------------------------------------
@@ -144,13 +144,15 @@ def _sign_pair(ring: RingSpec, a: int, b: int) -> int:
 def _floor_pair(ring: RingSpec, a: int, b: int, den: int = 1) -> int:
     """Exact floor of (a + b*beta) / den for den > 0.
 
-    An integer fixed-point estimate lands within one of the answer; the exact
-    sign test then certifies n <= x < n + 1.
+    2*den*x = 2a + m*b + b*sqrt(D), and with r = isqrt(D*b*b) the last term
+    lies in [r, r + 1) for b > 0 and in (-r - 1, -r] for b < 0 (D*b*b is not
+    a square).  So the estimate below is the floor at any size of the
+    coordinates; the exact sign tests then certify n <= x < n + 1.
     """
     if b == 0:
         return a // den
-    t = ((2 * a + b * ring.m) << _SQRT_BITS) + b * ring._sqrt_disc_scaled
-    n = t // ((den << _SQRT_BITS) << 1)
+    r = isqrt(ring.disc * b * b)
+    n = (2 * a + ring.m * b + (r if b > 0 else -r - 1)) // (2 * den)
     # certify: x - n >= 0 and x - (n + 1) < 0
     while _sign_pair(ring, a - n * den, b) < 0:
         n -= 1

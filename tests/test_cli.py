@@ -314,6 +314,24 @@ def test_malformed_witness_input(capsys, tmp_path, text):
         assert rc == 2 and out == "" and err.startswith("qcx:")
 
 
+def test_missing_witness_file(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    for argv in (("reduce",), ("pinch", "--n", "3")):
+        rc, out, err = run(capsys, *argv, "--in", str(missing))
+        assert rc == 2 and out == "" and err.startswith("qcx: cannot read witness file")
+
+
+def test_deeply_nested_witness_json(capsys, tmp_path):
+    # json.load recurses once per level and stops near 1,000 of them
+    levels = 1500
+    root = '{"op": 1, "right": {"leaf": 0}, "left": ' * levels + '{"leaf": 1}' + "}" * levels
+    src = tmp_path / "deep.json"
+    src.write_text(golden_witness_text({}).replace("{}", root))
+    for argv in (("reduce",), ("pinch", "--n", "3")):
+        rc, out, err = run(capsys, *argv, "--in", str(src))
+        assert rc == 2 and out == "" and err.startswith("qcx: witness nests too deeply")
+
+
 # -- classify / sweep / params -----------------------------------------------
 
 

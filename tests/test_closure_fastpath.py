@@ -2,11 +2,13 @@
 each checked against a plain reference implementation kept in this file."""
 
 import functools
+import logging
 import math
 import random
 
 import pytest
 
+import qcx.convexity
 from qcx import (
     BudgetExceededError,
     Divisibility,
@@ -52,20 +54,38 @@ def _cases():
 CASES = list(_cases())
 
 
+# module settings that send every round of a closure whose parameters share a
+# side down one path; "rule" leaves the choice to closure_bfs
+PATHS = {
+    "rule": {},
+    "pairs": {"_SUMSET_SPARSITY": 0},
+    "sumset": {"_SUMSET_SPARSITY": math.inf, "_DIGITS_PER_PAIR": math.inf},
+}
+
+
+def take_path(mp, path):
+    for name, value in PATHS[path].items():
+        mp.setattr(qcx.convexity, name, value)
+
+
 @pytest.mark.parametrize("ring,params,depth,label", CASES, ids=[c[3] for c in CASES])
-def test_closure_matches_naive_reference(ring, params, depth, label):
+def test_closure_matches_naive_reference(ring, params, depth, label, monkeypatch):
     base = [ring.zero, ring.one]
     p_arg = params[0] if len(params) == 1 else params
     for d, ref in enumerate(naive_rounds(base, params, depth)):
         want = [(p.a, p.b) for p in exact_order(ref)]
-        got = closure_bfs(base, p_arg, d)
-        assert [(p.a, p.b) for p in got.points] == want, (label, d)
-        assert got.span.lo == got.points[0] and got.span.hi == got.points[-1]
-        # s*(x+c) + (1-s)*(y+c) = s*x + (1-s)*y + c, so translated seeds give
-        # the translated closure, however large c is
-        for c in (ring.element(3, -2), ring.element(-7, 5), ring.element(10**15, -(10**15))):
-            moved = closure_bfs([x + c for x in base], p_arg, d)
-            assert [(p.a - c.a, p.b - c.b) for p in moved.points] == want, (label, d, c)
+        for path in PATHS:
+            with monkeypatch.context() as mp:
+                take_path(mp, path)
+                got = closure_bfs(base, p_arg, d)
+                assert [(p.a, p.b) for p in got.points] == want, (label, d, path)
+                assert got.span.lo == got.points[0] and got.span.hi == got.points[-1]
+                # s*(x+c) + (1-s)*(y+c) = s*x + (1-s)*y + c, so translated seeds
+                # give the translated closure, however large c is
+                for c in (ring.element(3, -2), ring.element(-7, 5),
+                          ring.element(10**15, -(10**15))):
+                    moved = closure_bfs([x + c for x in base], p_arg, d)
+                    assert [(p.a - c.a, p.b - c.b) for p in moved.points] == want, (label, d, c)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=IDS)
@@ -90,16 +110,125 @@ def test_closure_span_filter_matches_reference():
 
 
 @pytest.mark.parametrize("ring", RINGS[:4], ids=IDS[:4])
-def test_budget_raised_at_the_same_node_cap(ring):
+def test_budget_raised_at_the_same_node_cap(ring, monkeypatch):
     s = ring.element(0, -1)
     sizes = [len(pts) for pts in naive_rounds([ring.zero, ring.one], (s,), 4)]
-    for r in range(1, 5):
-        size = sizes[r]
-        # one point fewer than round r reaches: raised in round r, not before
-        with pytest.raises(BudgetExceededError, match=f"at round {r}$"):
-            closure_bfs([ring.zero, ring.one], s, 4, node_cap=size - 1)
-        # exactly what round r reaches: round r completes
-        assert len(closure_bfs([ring.zero, ring.one], s, r, node_cap=size)) == size
+    for path in PATHS:
+        with monkeypatch.context() as mp:
+            take_path(mp, path)
+            for r in range(1, 5):
+                size = sizes[r]
+                # one point fewer than round r reaches: raised in round r, not before
+                with pytest.raises(BudgetExceededError, match=f"at round {r}$"):
+                    closure_bfs([ring.zero, ring.one], s, 4, node_cap=size - 1)
+                # exactly what round r reaches: round r completes
+                assert len(closure_bfs([ring.zero, ring.one], s, r, node_cap=size)) == size
+
+
+def round_records(caplog, *args, **kwargs):
+    """closure_bfs(*args, **kwargs) and its per-round debug records, as
+    (round, new, total, path, candidates, key bits) tuples."""
+    with caplog.at_level(logging.DEBUG, logger="qcx.convexity"):
+        caplog.clear()
+        got = closure_bfs(*args, **kwargs)
+    recs = [r.args for r in caplog.records if r.msg.startswith("closure round")]
+    return got, recs
+
+
+def test_round_records_pin_the_counts(caplog):
+    ring = RINGS[0]
+    _, recs = round_records(caplog, [ring.zero, ring.one], ring.element(0, -1), 4)
+    # round, new, total, path, distinct candidates (x |- x included), key bits;
+    # the first two rounds form fewer pairs than a sumset would need digits
+    assert recs == [
+        (1, 2, 4, "pairs", 4, 5),
+        (2, 6, 10, "pairs", 8, 5),
+        (3, 22, 32, "sumset", 30, 6),
+        (4, 88, 120, "sumset", 118, 8),
+    ]
+    msg = "closure round 4: 88 new, 120 total, sumset path, 118 candidates, 8 key bits"
+    assert caplog.messages[-1] == msg
+
+
+def test_both_paths_report_the_same_counts(caplog, monkeypatch):
+    ring = RINGS[0]
+    args = ([ring.zero, ring.one], ring.element(0, -1), 5)
+    runs = {}
+    for path in ("pairs", "sumset"):
+        with monkeypatch.context() as mp:
+            take_path(mp, path)
+            _, runs[path] = round_records(caplog, *args)
+        assert [r[3] for r in runs[path]] == [path] * 5
+    # the same rounds, new points, totals and distinct candidates
+    assert [r[:3] + r[4:5] for r in runs["pairs"]] == [r[:3] + r[4:5] for r in runs["sumset"]]
+
+
+def test_golden_depth_8_by_sumset(caplog):
+    ring = RINGS[0]
+    s = ring.element(0, -1)
+    got, recs = round_records(caplog, [ring.zero, ring.one], s, 8)
+    assert len(got) == 37_890
+    assert [r[3] for r in recs] == ["pairs"] * 2 + ["sumset"] * 6
+    with pytest.raises(BudgetExceededError, match="at round 8$"):
+        closure_bfs([ring.zero, ring.one], s, 8, node_cap=37_889)
+
+
+@pytest.mark.parametrize("key,params,depth,seeds", [
+    ((1, 1), "neg_beta", 7, ((0, 0), (1, 0))),
+    ((1, 1), "neg_beta", 6, ((0, 0), (1, 0), (-3, 2))),
+    ((3, 1), "char", 4, ((0, 0), (1, 0))),
+    ((5, -1), "char", 4, ((0, 0), (1, 0))),
+    ((4, -1), "inv_beta", 5, ((0, 0), (1, 0))),
+], ids=["1,+ -beta", "1,+ -beta three seeds", "3,+ char", "5,- char", "4,- 1/beta"])
+def test_sumset_matches_pair_loop_on_large_rounds(key, params, depth, seeds, caplog, monkeypatch):
+    # the window side (conj(s) in [0, 1]) for -beta and char, the direct side
+    # (s in [0, 1]) for 1/beta
+    ring = ring_make(*key)
+    s = {"neg_beta": ring.element(0, -1), "inv_beta": ring.inv_beta}.get(params)
+    s = s or characterizing_params(ring)
+    seeds = [ring.element(a, b) for a, b in seeds]
+    # the last round multiplies numbers of tens of thousands of digits
+    got, recs = round_records(caplog, seeds, s, depth)
+    assert recs[-1][3] == "sumset"
+    with monkeypatch.context() as mp:
+        take_path(mp, "pairs")
+        assert list(got.points) == list(closure_bfs(seeds, s, depth).points)
+
+
+def test_mixed_sides_run_the_pair_loop(caplog):
+    # -beta is convex on the window side only, 1/beta on the direct side only
+    ring = RINGS[0]
+    params = (ring.element(0, -1), ring.inv_beta)
+    base = [ring.zero, ring.one]
+    got, recs = round_records(caplog, base, params, 3)
+    assert [r[3] for r in recs] == ["pairs"] * 3
+    assert list(got.points) == exact_order(naive_rounds(base, params, 3)[-1])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+def test_three_seeds_match_reference(ring, monkeypatch):
+    seeds = [ring.zero, ring.one, ring.element(-3, 2)]
+    inv = ring.inv_beta
+    for s in (inv, inv.conj()):  # one direct-side, one window-side parameter
+        want = exact_order(naive_rounds(seeds, (s,), 3)[-1])
+        for path in PATHS:
+            with monkeypatch.context() as mp:
+                take_path(mp, path)
+                assert list(closure_bfs(seeds, s, 3).points) == want, (s, path)
+
+
+def test_far_apart_seeds_fall_back_to_the_pair_loop(caplog, monkeypatch):
+    # seeds 10^15 apart spread the strip keys over about 10^30 slots for a
+    # few dozen points; even where the pair loop were slower, a sumset would
+    # need more memory than the sparsity bound allows
+    ring = RINGS[0]
+    s = ring.element(0, -1)
+    seeds = [ring.zero, ring.element(10**15)]
+    want = exact_order(naive_rounds(seeds, (s,), 3)[-1])
+    monkeypatch.setattr(qcx.convexity, "_DIGITS_PER_PAIR", math.inf)
+    got, recs = round_records(caplog, seeds, s, 3)
+    assert [r[3] for r in recs] == ["pairs"] * 3
+    assert list(got.points) == want
 
 
 def _tiny_unit(ring):

@@ -1,11 +1,24 @@
 """Exact ring arithmetic: construction, automorphism, order, floors, printing."""
 
 import random
+import time
+from math import isqrt
 
 import pytest
 from mpmath import mp, mpf, sqrt as mpsqrt
 
-from qcx import OutOfRangeError, QuadInt, QuadRat, RingSpec, RingMismatchError, ring_make
+import qcx.quadring
+from qcx import (
+    OutOfRangeError,
+    QuadInt,
+    QuadRat,
+    RingSpec,
+    RingMismatchError,
+    ring_make,
+    verify_witness,
+    witness_for,
+)
+from qcx.quadring import _floor_pair, _sign_pair
 
 mp.dps = 50
 
@@ -190,6 +203,63 @@ def test_floor_examples():
     assert (5 - b).floor() == 1
     assert GOLDEN.element(7).floor() == 7
     assert QuadRat(GOLDEN.element(1, 1), 2).floor() == 1   # (1+tau)/2 ~ 1.309
+
+
+def fixed_point_floor(ring, a, b, den=1):
+    """Reference floor from a 64-bit fixed-point sqrt(D), corrected one unit
+    at a time; exact, but the steps grow like |b| / 2^64."""
+    if b == 0:
+        return a // den
+    t = ((2 * a + b * ring.m) << 64) + b * isqrt(ring.disc << 128)
+    n = t // ((den << 64) << 1)
+    while _sign_pair(ring, a - n * den, b) < 0:
+        n -= 1
+    while _sign_pair(ring, a - (n + 1) * den, b) >= 0:
+        n += 1
+    return n
+
+
+BENCH_RINGS = [ring_make(*key) for key in ((1, 1), (2, 1), (3, 1), (4, -1), (5, -1), (7, -1), (6, -1))]
+
+
+@pytest.mark.parametrize("ring", BENCH_RINGS, ids=[f"{r.m},{r.eps:+d}" for r in BENCH_RINGS])
+def test_floor_matches_fixed_point_reference(ring):
+    rng = random.Random(ring.m * 10 + ring.eps)
+    for _ in range(3000):
+        bits = rng.randint(1, 60)
+        a = rng.randint(-(1 << bits), 1 << bits)
+        b = rng.randint(-(1 << bits), 1 << bits)
+        den = rng.randint(1, 1 << rng.randint(1, 60))
+        assert _floor_pair(ring, a, b, den) == fixed_point_floor(ring, a, b, den), (a, b, den)
+
+
+def test_floor_needs_no_correction_steps_at_any_size(monkeypatch):
+    calls = []
+
+    def counting_sign(ring, a, b):
+        calls.append(1)
+        return _sign_pair(ring, a, b)
+
+    monkeypatch.setattr(qcx.quadring, "_sign_pair", counting_sign)
+    rng = random.Random(50)
+    for ring in BENCH_RINGS:
+        for _ in range(200):
+            a, b = rng.randint(-(10**50), 10**50), rng.randint(-(10**50), 10**50)
+            den = rng.randint(1, 10**rng.randint(1, 40))
+            calls.clear()
+            n = _floor_pair(ring, a, b, den)
+            assert len(calls) == 2           # the two certifying sign tests only
+            x = QuadRat(ring.element(a, b), den)
+            assert (x - n).sign() >= 0 and (n + 1 - x).sign() > 0
+
+
+def test_witness_for_a_tiny_power_of_beta():
+    # floor() of beta^-160 has coordinates near 10^33: the unit-step
+    # correction of a 64-bit estimate did not finish within a minute
+    x = GOLDEN.one.mul_beta_pow(-160)
+    t0 = time.perf_counter()
+    assert verify_witness(witness_for(GOLDEN, x), x)
+    assert time.perf_counter() - t0 < 10
 
 
 # -- rationals ---------------------------------------------------------------
