@@ -375,6 +375,8 @@ def _handle_classify(args) -> int:
     if args.y is not None:
         y = parse_quadint(args.y, ring)
         s = parse_quadint(args.s, ring)
+        if s == 0:
+            raise OutOfRangeError("--s must be nonzero: zero divides nothing")
         verdict = divisibility_filter(y, s)
         if args.format == "json":
             print(json.dumps({"verdict": verdict.value}))

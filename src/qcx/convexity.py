@@ -46,8 +46,8 @@ from .errors import (
     ParseError,
     RingMismatchError,
 )
-from .modelset import Interval, PointSet
-from .quadring import QuadInt, QuadRat, RingSpec, _sign_pair, _sorted_exact
+from .modelset import Interval, PointSet, _same_ring
+from .quadring import QuadInt, QuadRat, RingSpec, _quadints, _sign_pair, _sorted_pairs
 
 log = logging.getLogger("qcx.convexity")
 
@@ -345,15 +345,17 @@ def closure_bfs(
     slot-encoded key sets per parameter and direction (``_sumset_round``).
     Parameter sets without a common side, and rounds where a sumset would
     cost more time or memory than the pair loop (see ``_SUMSET_SPARSITY``),
-    run the pair loop (``_pair_round``).  The result is ordered by a fixed-point key sort whose
-    order is then certified (and, if needed, repaired) by exact integer sign
-    tests.
+    run the pair loop (``_pair_round``).  The pairs are filtered by ``span``,
+    ordered by one certified key sort (``quadring._sorted_pairs``; translation
+    keeps its order) and built into ring elements in a single pass.
     """
     seed_list = list(seeds)
     if not seed_list:
         raise MissingSeedsError("closure needs at least one seed")
     if depth < 0:
         raise OutOfRangeError("depth must be nonnegative")
+    if node_cap < 0:
+        raise OutOfRangeError("node cap must be nonnegative")
     ring = seed_list[0].ring
     if isinstance(params, ParamSet):
         param_list = list(params.params)
@@ -390,15 +392,12 @@ def closure_bfs(
             log.debug("closure round %d: %d new, %d total, %s path, %d candidates, %d key bits",
                       round_no, frontier_len, len(order), path, candidates, bits)
 
-    points = [QuadInt(ring, a + oa, b + ob) for a, b in order]
     if span is not None:
-        points = [p for p in points if span.contains(p)]
-    points = _sorted_exact(ring, points)
-    if span is None:
-        if points:
-            span = Interval.closed(points[0], points[-1])
-        else:  # pragma: no cover - seeds are never empty
-            span = Interval.closed(0, 0, ring)
+        _same_ring(ring, span.lo.ring)
+        order = [(a, b) for a, b in order if span.contains_pair(a + oa, b + ob)]
+    points = _quadints(ring, _sorted_pairs(ring, order), oa, ob)
+    if span is None:  # the seeds are never empty, so neither are the points
+        span = Interval.closed(points[0], points[-1])
     return PointSet(ring, tuple(points), span)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -29,7 +30,8 @@ from .errors import (
     RingMismatchError,
     TooFewPointsError,
 )
-from .quadring import QuadInt, QuadRat, RingSpec, _floor_pair, _sign_pair, _sorted_exact
+from .quadring import QuadInt, QuadRat, RingSpec, _floor_pair, _quadints, _sign_pair
+from .quadring import _sorted_exact, _sorted_pairs
 
 Scalar = Union[QuadInt, QuadRat, int]
 
@@ -126,16 +128,16 @@ def _same_ring(ring: RingSpec, other: RingSpec) -> None:
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite, sorted collection of ring elements together with its range."""
+    """A finite, sorted collection of ring elements together with its range;
+    the set of (a, b) keys behind membership tests is built on the first test."""
 
     ring: RingSpec
     points: tuple[QuadInt, ...]
     span: Interval
 
-    _keys: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_keys", frozenset((p.a, p.b) for p in self.points))
+    @cached_property
+    def _keys(self) -> frozenset:
+        return frozenset((p.a, p.b) for p in self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -177,7 +179,7 @@ def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> Poi
     sla, slb, sld, sha, shb, shd = span._ends
     wla, wlb, wld, wha, whb, whd = window._ends
     in_span, in_window = span.contains_pair, window.contains_pair
-    points: list[QuadInt] = []
+    pairs: list[tuple[int, int]] = []
     for b in range(b_lo, b_hi + 1):
         # floors of span.lo - b*beta, window.lo - b*conj(beta), and the same
         # for the upper ends, with conj(beta) = m - beta
@@ -192,8 +194,8 @@ def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> Poi
         mb = m * b
         for a in range(a_lo, a_hi + 1):
             if in_span(a, b) and in_window(a + mb, -b):
-                points.append(QuadInt(ring, a, b))
-    return PointSet(ring, tuple(_sorted_exact(ring, points)), span)
+                pairs.append((a, b))
+    return PointSet(ring, tuple(_quadints(ring, _sorted_pairs(ring, pairs))), span)
 
 
 def gap_histogram(ps: PointSet) -> list[tuple[QuadInt, int]]:

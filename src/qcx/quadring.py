@@ -18,15 +18,18 @@ never an equality and the sign of a + b*beta with b != 0 is never zero.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property, cmp_to_key, total_ordering
 from itertools import islice
 from math import gcd, isqrt
-from typing import Iterable, Union
+from typing import Collection, Iterable, Union
 
 from .errors import OutOfRangeError, RingMismatchError
 
-# Fixed-point scale of the sort keys of _sorted_exact (certified exactly afterwards).
+log = logging.getLogger("qcx.quadring")
+
+# Fixed-point scale of the sort keys of _sorted_pairs (certified exactly afterwards).
 _SQRT_BITS = 64
 
 
@@ -84,7 +87,7 @@ class RingSpec:
 
     @cached_property
     def _sqrt_disc_scaled(self) -> int:
-        # floor(sqrt(D) * 2^_SQRT_BITS), the slope of the _sorted_exact sort key.
+        # floor(sqrt(D) * 2^_SQRT_BITS), the slope of the _sorted_pairs sort key.
         return isqrt(self.disc << (2 * _SQRT_BITS))
 
     # -- element factories ------------------------------------------------
@@ -370,8 +373,22 @@ class QuadInt:
         return f"{self.a},{self.b}"
 
 
-def _sorted_exact(ring: RingSpec, points: Iterable[QuadInt]) -> list[QuadInt]:
-    """The elements ``points`` of ``ring`` in exact increasing order.
+def _quadints(ring: RingSpec, pairs: Iterable, oa: int = 0, ob: int = 0) -> list[QuadInt]:
+    """The elements (a + oa) + (b + ob)*beta of ``ring``, set slot by slot, not by __init__."""
+    new, set_ring = object.__new__, QuadInt.ring.__set__
+    set_a, set_b = QuadInt.a.__set__, QuadInt.b.__set__
+    out = []
+    for a, b in pairs:
+        p = new(QuadInt)
+        set_ring(p, ring)
+        set_a(p, a + oa)
+        set_b(p, b + ob)
+        out.append(p)
+    return out
+
+
+def _sorted_pairs(ring: RingSpec, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs (a, b) in exact increasing order of a + b*beta.
 
     A sort on the integer key 2^(_SQRT_BITS+1) * x, rounded with an error below
     |b|, puts in order every two elements whose values differ by more than
@@ -381,12 +398,22 @@ def _sorted_exact(ring: RingSpec, points: Iterable[QuadInt]) -> list[QuadInt]:
     sign tests, never by the key alone.
     """
     m, sqrt_disc = ring.m, ring._sqrt_disc_scaled
-    out = sorted(points, key=lambda p: ((2 * p.a + m * p.b) << _SQRT_BITS) + p.b * sqrt_disc)
-    for x, y in zip(out, islice(out, 1, None)):
-        if _sign_pair(ring, y.a - x.a, y.b - x.b) <= 0:
-            out.sort()
+    keys = [((2 * a + m * b) << _SQRT_BITS) + b * sqrt_disc for a, b in pairs]
+    out = [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__)]
+    for (xa, xb), (ya, yb) in zip(out, islice(out, 1, None)):
+        if _sign_pair(ring, ya - xa, yb - xb) <= 0:
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("exact repair sort: %d points, first failed certificate at %d",
+                          len(out), out.index((xa, xb)))
+            out.sort(key=cmp_to_key(lambda x, y: _sign_pair(ring, x[0] - y[0], x[1] - y[1])))
             break
     return out
+
+
+def _sorted_exact(ring: RingSpec, points: Collection[QuadInt]) -> list[QuadInt]:
+    """The elements ``points`` of ``ring`` in exact increasing order (see _sorted_pairs)."""
+    pairs = [(p.a, p.b) for p in points]
+    return list(map(dict(zip(pairs, points)).__getitem__, _sorted_pairs(ring, pairs)))
 
 
 # ---------------------------------------------------------------------------

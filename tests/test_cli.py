@@ -176,6 +176,13 @@ def test_closure_budget_exhaustion(capsys):
     assert rc == 1 and err.startswith("qcx:")
 
 
+def test_negative_cap_is_an_input_fault(capsys):
+    for cmd in ("closure", "gapwitness"):
+        rc, out, err = run(capsys, cmd, "--m", "1", "--sign", "+",
+                           "--params=0,-1", "--depth", "3", "--cap", "-1")
+        assert rc == 2 and out == "" and err == "qcx: node cap must be nonnegative\n", cmd
+
+
 def test_gapwitness(capsys):
     args = ("gapwitness", "--m", "1", "--sign", "+", "--params=0,-1",
             "--depth", "1", "--range=-2,0:2,0")
@@ -363,6 +370,11 @@ def test_classify_divisibility(capsys):
     assert rc == 0 and json.loads(out) == {"verdict": "DividesYMinus1"}
     rc, _, err = run(capsys, "classify", "--m", "3", "--sign", "+", "--y", "2,0")
     assert rc == 2 and err.startswith("qcx:")       # --y needs --s
+
+
+def test_classify_zero_divisor_is_an_input_fault(capsys):
+    rc, out, err = run(capsys, "classify", "--m", "1", "--sign", "+", "--y=1,0", "--s=0,0")
+    assert rc == 2 and out == "" and err.startswith("qcx: --s must be nonzero")
 
 
 def test_sweep(capsys):

@@ -21,10 +21,11 @@ from qcx import (
     divisibility_filter,
     ring_make,
 )
-from qcx.quadring import _sorted_exact
+from qcx.quadring import _sorted_exact, _sorted_pairs
 
 RINGS = [ring_make(*key) for key in ((1, 1), (2, 1), (3, 1), (4, -1), (5, -1), (7, -1))]
 IDS = [f"{r.m},{r.eps:+d}" for r in RINGS]
+BENCH_RINGS = RINGS + [ring_make(6, -1)]
 
 
 def naive_rounds(seeds, params, depth):
@@ -107,6 +108,9 @@ def test_closure_span_filter_matches_reference():
     got = closure_bfs([ring.zero, ring.one], s, 4, span=span)
     assert list(got.points) == exact_order(p for p in ref if span.contains(p))
     assert got.span == span
+    # a span of another ring is refused, as Interval.contains refuses its points
+    with pytest.raises(RingMismatchError):
+        closure_bfs([ring.zero, ring.one], s, 4, span=Interval.unit(RINGS[1]))
 
 
 @pytest.mark.parametrize("ring", RINGS[:4], ids=IDS[:4])
@@ -243,8 +247,8 @@ def _tiny_unit(ring):
     return d
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=IDS)
-def test_sort_stress_values_closer_than_key_resolution(ring):
+def _stress_points(ring):
+    """Values near 10^30 packed closer than the resolution of the sort key."""
     rng = random.Random(ring.m * 10 + ring.eps)
     d = _tiny_unit(ring)
     base = ring.element(10**30 + 7, -3 * 10**29)
@@ -252,6 +256,12 @@ def test_sort_stress_values_closer_than_key_resolution(ring):
     pts |= {base + rng.randint(-50, 50) for _ in range(40)}
     pts = list(pts)
     rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+def test_sort_stress_values_closer_than_key_resolution(ring):
+    pts = _stress_points(ring)
     want = exact_order(pts)
     assert _sorted_exact(ring, pts) == want
     # the fixed-point key alone cannot order this set, so the exact pass is
@@ -267,6 +277,49 @@ def test_sort_helper_on_plain_input():
     pts = list({ring.element(rng.randint(-500, 500), rng.randint(-500, 500)) for _ in range(800)})
     assert _sorted_exact(ring, pts) == exact_order(pts)
     assert _sorted_exact(ring, []) == []
+
+
+def exact_pair_order(ring, pairs):
+    return sorted(pairs, key=functools.cmp_to_key(
+        lambda x, y: (ring.element(*x) - ring.element(*y)).sign()))
+
+
+@pytest.mark.parametrize("ring", BENCH_RINGS, ids=[f"{r.m},{r.eps:+d}" for r in BENCH_RINGS])
+def test_sorted_pairs_match_exact_comparison_sort(ring):
+    rng = random.Random(f"pairs/{ring.m}/{ring.eps}")
+    for bound in (3, 500, 10**25):
+        pairs = list({(rng.randint(-bound, bound), rng.randint(-bound, bound))
+                      for _ in range(600)})
+        assert _sorted_pairs(ring, pairs) == exact_pair_order(ring, pairs), bound
+    # the key-defeating set, given as pairs; the input list is left as it was
+    pairs = [(p.a, p.b) for p in _stress_points(ring)]
+    given = list(pairs)
+    assert _sorted_pairs(ring, pairs) == exact_pair_order(ring, pairs)
+    assert pairs == given
+    assert _sorted_pairs(ring, []) == [] and _sorted_pairs(ring, [(2, -1)]) == [(2, -1)]
+
+
+def test_repair_sort_logs_one_record(caplog):
+    ring = RINGS[0]
+    pairs = [(p.a, p.b) for p in _stress_points(ring)]
+    plain = [(a, b) for a in range(-30, 30) for b in range(-30, 30)]
+    with caplog.at_level(logging.DEBUG, logger="qcx.quadring"):
+        caplog.clear()
+        _sorted_pairs(ring, pairs)
+        recs = [r for r in caplog.records if r.name == "qcx.quadring"]
+        assert len(recs) == 1 and recs[0].msg.startswith("exact repair sort")
+        count, first = recs[0].args
+        assert count == len(pairs)
+        # the first failed certificate is the first out-of-order neighbour of
+        # the key sort, and every pair before it is in exact order
+        m, sd = ring.m, ring._sqrt_disc_scaled
+        by_key = sorted(pairs, key=lambda p: ((2 * p[0] + m * p[1]) << 64) + p[1] * sd)
+        assert by_key[:first + 1] == exact_pair_order(ring, by_key[:first + 1])
+        assert by_key[first:first + 2] != exact_pair_order(ring, by_key[first:first + 2])
+        caplog.clear()
+        _sorted_pairs(ring, plain)
+        closure_bfs([ring.zero, ring.one], ring.element(0, -1), 5)
+        assert not [r for r in caplog.records if r.name == "qcx.quadring"]
 
 
 def reference_filter(y, s):

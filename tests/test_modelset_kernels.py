@@ -268,6 +268,25 @@ def test_check_convexity_counts_repeated_objects():
             assert check_convexity(ps, s) == ref_check_convexity(ps, s)
 
 
+def test_point_set_keys_are_built_on_first_use():
+    ring = RINGS[2]
+    window, span = Interval.closed(-1, 2, ring), Interval.closed(-15, 15, ring)
+    full = enumerate_model_set(ring, window, span)
+    fresh = PointSet(ring, full.points, span)
+    assert "_keys" not in vars(fresh)
+    # equality, hashing and repr see the fields only, built keys or not
+    assert hash(fresh) == hash(full) == hash((ring, full.points, span))
+    assert fresh == full and repr(fresh) == repr(full) and "_keys" not in repr(fresh)
+    for s in characterizing_params(ring).params:
+        untouched = PointSet(ring, full.points[::2], span)
+        assert check_convexity(untouched, s) == ref_check_convexity(untouched, s)
+    members = {(p.a, p.b) for p in full}
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            assert (ring.element(a, b) in fresh) == ((a, b) in members)
+    assert fresh._keys == members and fresh == full and hash(fresh) == hash(full)
+
+
 def test_check_convexity_across_rings_raises():
     golden, silver = RINGS[0], RINGS[1]
     ps = enumerate_model_set(golden, Interval.unit(golden), Interval.closed(0, 5, golden))
