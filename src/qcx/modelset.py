@@ -9,18 +9,24 @@ module enumerates such sets exactly over a bounded range, measures their gap
 structure, checks closedness under two-point convex combinations, and
 reconstructs the window interval from a finite point sample.
 
-Membership, enumeration and the convexity audit are decided on integer pairs:
-an interval keeps its endpoints as integer coordinates, and every test
-``lo <= (a + b*beta)/den <= hi`` is two exact sign tests of cross-multiplied
-integers (``quadring._sign_pair``).  Ring objects are built only for results.
+Membership, enumeration, the convexity audit and window reconstruction are
+decided on integer pairs: an interval keeps its endpoints as integer
+coordinates, and every test ``lo <= (a + b*beta)/den <= hi`` is two exact sign
+tests of cross-multiplied integers (``quadring._sign_pair``).  Enumeration
+takes the exact integer ends of each row b instead of testing candidates, and
+the audit bisects for the run of combinations inside the range.  Ring objects
+are built only for results.
 """
 
 from __future__ import annotations
 
+import logging
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from functools import cached_property, cmp_to_key
+from itertools import repeat
+from typing import Iterable, Iterator, Union
 
 from .errors import (
     ChainBrokenError,
@@ -31,7 +37,9 @@ from .errors import (
     TooFewPointsError,
 )
 from .quadring import QuadInt, QuadRat, RingSpec, _floor_pair, _quadints, _sign_pair
-from .quadring import _sorted_exact, _sorted_pairs
+from .quadring import _sorted_pairs
+
+log = logging.getLogger("qcx.modelset")
 
 Scalar = Union[QuadInt, QuadRat, int]
 
@@ -150,7 +158,8 @@ class PointSet:
 
     def conj_values(self) -> tuple[QuadInt, ...]:
         """Window-side images of the points (computed on demand)."""
-        return tuple(p.conj() for p in self.points)
+        m = self.ring.m
+        return tuple(_quadints(self.ring, [(p.a + m * p.b, -p.b) for p in self.points]))
 
     def records(self) -> list[dict]:
         """JSON-ready records; the floats are display-only."""
@@ -160,14 +169,24 @@ class PointSet:
         ]
 
 
+def _a_end(ring: RingSpec, p: int, q: int, d: int, closed: bool, upper: bool) -> int:
+    """The least integer a >= e (a > e if not ``closed``), or with ``upper``
+    the greatest a <= e (a < e), for the end e = (p + q*beta)/d with d > 0.
+    e is an integer only when q == 0 and d | p; otherwise floor(e) decides."""
+    n = _floor_pair(ring, p, q, d)
+    if q or p % d:
+        return n if upper else n + 1
+    return n - (not closed) if upper else n + (not closed)
+
+
 def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> PointSet:
     """All x in Z[beta] with conj(x) in ``window`` and x in ``span``, sorted.
 
-    The search space is cut down exactly: x - conj(x) = b*sqrt(D) pins the
-    integer range of b from the two interval constraints, then for each b the
-    admissible range of a is the intersection of two rational intervals,
-    whose ends are floors of integer pairs.  The final membership filter is
-    exact, so the candidate ranges only need to be wide enough.
+    x - conj(x) = b*sqrt(D) pins the integer range of b from the two interval
+    constraints.  For each b the admissible a form one integer interval, the
+    intersection of x in ``span`` and conj(x) in ``window``; its exact ends are
+    floors of integer pairs adjusted by the open/closed flags, so every a
+    between them is a point and no candidate is tested on its own.
     """
     _same_ring(ring, window.lo.ring)
     _same_ring(ring, span.lo.ring)
@@ -178,23 +197,21 @@ def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> Poi
     m = ring.m
     sla, slb, sld, sha, shb, shd = span._ends
     wla, wlb, wld, wha, whb, whd = window._ends
-    in_span, in_window = span.contains_pair, window.contains_pair
     pairs: list[tuple[int, int]] = []
     for b in range(b_lo, b_hi + 1):
-        # floors of span.lo - b*beta, window.lo - b*conj(beta), and the same
+        # a against span.lo - b*beta, window.lo - b*conj(beta) and the same
         # for the upper ends, with conj(beta) = m - beta
         a_lo = max(
-            _floor_pair(ring, sla, slb - b * sld, sld),
-            _floor_pair(ring, wla - b * m * wld, wlb + b * wld, wld),
+            _a_end(ring, sla, slb - b * sld, sld, span.lo_closed, False),
+            _a_end(ring, wla - b * m * wld, wlb + b * wld, wld, window.lo_closed, False),
         )
         a_hi = min(
-            _floor_pair(ring, sha, shb - b * shd, shd),
-            _floor_pair(ring, wha - b * m * whd, whb + b * whd, whd),
-        ) + 1
-        mb = m * b
-        for a in range(a_lo, a_hi + 1):
-            if in_span(a, b) and in_window(a + mb, -b):
-                pairs.append((a, b))
+            _a_end(ring, sha, shb - b * shd, shd, span.hi_closed, True),
+            _a_end(ring, wha - b * m * whd, whb + b * whd, whd, window.hi_closed, True),
+        )
+        pairs.extend(zip(range(a_lo, a_hi + 1), repeat(b)))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("enumerate_model_set: %d b rows, %d points", b_hi - b_lo + 1, len(pairs))
     return PointSet(ring, tuple(_quadints(ring, _sorted_pairs(ring, pairs))), span)
 
 
@@ -239,8 +256,11 @@ def check_convexity(ps: PointSet, s: QuadInt, window: Interval | None = None) ->
     whether the combination's conjugate was inside ``window``, separating
     true gaps from window effects.
 
-    The combinations are formed on integer coordinates; (1-s)*y is computed
-    once per y, and a ``QuadInt`` is built only for a violation.
+    For one x, z is monotone in y, so along the y in ascending order the z
+    inside the range form one run, whose ends are bisected with exact sign
+    tests; only the run is tested against the points, in the given order,
+    which is certified ascending (else sorted exactly).  The combinations are
+    integer pairs; a ``QuadInt`` is built only for a violation.
     """
     ring = ps.ring
     _same_ring(ring, s.ring)
@@ -260,21 +280,44 @@ def check_convexity(ps: PointSet, s: QuadInt, window: Interval | None = None) ->
     ua, ub = 1 - sa, -sb  # 1 - s
     # products expand with beta^2 = m*beta + eps, as in QuadInt.__mul__
     uys = [(ua * y.a + eps * ub * y.b, ua * y.b + ub * y.a + m * ub * y.b) for y in pts]
+    order = None
+    if not all(_sign_pair(ring, y.a - x.a, y.b - x.b) > 0 for x, y in zip(pts, pts[1:])):
+        order = sorted(range(len(pts)), key=cmp_to_key(
+            lambda i, j: _sign_pair(ring, pts[i].a - pts[j].a, pts[i].b - pts[j].b)))
+    ascending = uys if order is None else [uys[j] for j in order]
+    # z moves with y when 1 - s > 0 and against it when 1 - s < 0; for s = 1
+    # it is x itself, a point of ps, so no pair can give a violation
+    slope = _sign_pair(ring, ua, ub)
+    span, e = ps.span, ps.span._ends
+    ends = [(*e[:3], span.lo_closed), (*e[3:], span.hi_closed)]
+    (fa, fb, fd, f_closed), (ga, gb, gd, g_closed) = ends if slope > 0 else ends[::-1]
     keys = ps._keys
-    in_span = ps.span.contains_pair
     violations: list[ConvexityViolation] = []
-    for x in pts:
+    tested = 0
+    for x in pts if slope else ():
         xa, xb = x.a, x.b
         sxa, sxb = sa * xa + eps * sb * xb, sa * xb + sb * xa + m * sb * xb
+        # slope * sign(z - end) ascends along the run order: start is the
+        # first z inside the first end it meets, stop the first z past the other
+        start = bisect_left(ascending, 0 if f_closed else 1, key=lambda uy: slope * _sign_pair(
+            ring, (sxa + uy[0]) * fd - fa, (sxb + uy[1]) * fd - fb))
+        stop = bisect_left(ascending, 1 if g_closed else 0, start, key=lambda uy: slope * _sign_pair(
+            ring, (sxa + uy[0]) * gd - ga, (sxb + uy[1]) * gd - gb))
+        tested += stop - start
         # y is x gives z = x, which is in ps, so it never adds a violation
-        for j, (uya, uyb) in enumerate(uys):
+        for j in range(start, stop) if order is None else sorted(order[start:stop]):
+            uya, uyb = uys[j]
             za, zb = sxa + uya, sxb + uyb
-            if (za, zb) in keys or not in_span(za, zb):
+            if (za, zb) in keys:
                 continue
             inside = window.contains_pair(za + m * zb, -zb) if window is not None else None
             violations.append(ConvexityViolation(x, pts[j], QuadInt(ring, za, zb), inside))
     # every ordered pair except y is x (equal objects listed twice skip each other)
     pairs = len(pts) ** 2 - sum(k * k for k in Counter(map(id, pts)).values())
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("check_convexity: %d pairs, %d inside the range, %d violations, "
+                  "order certificate %s", pairs, tested, len(violations),
+                  "failed" if order is not None else "held")
     return ConvexityReport(s, pairs, tuple(violations))
 
 
@@ -293,41 +336,38 @@ class WindowReconstruction:
     lower: tuple[QuadInt, ...]
 
 
-def reconstruct_window(points: Sequence[QuadInt]) -> WindowReconstruction:
+def reconstruct_window(points: Iterable[QuadInt]) -> WindowReconstruction:
     """Recover the window hull [min, max] from conjugate-side points.
 
-    Requires 0 and 1 among the points (the seed pair).  Walking outward from
-    [0, 1], every consecutive gap must be at most 1; the first wider gap
-    raises ChainBrokenError carrying that gap.
+    Requires 0 and 1 among the points (the seed pair).  The distinct points
+    are sorted exactly as integer pairs; those after 1 lie above it and those
+    before 0 below it, so walking up through the sorted points, every gap
+    outside [0, 1] must be at most 1, and the first wider gap raises
+    ChainBrokenError carrying that gap.
     """
-    distinct = set(points)
-    if not distinct:
+    ring = None
+    distinct = set()
+    for p in points:
+        if ring is None:
+            ring = p.ring
+        elif p.ring is not ring:
+            _same_ring(ring, p.ring)
+        distinct.add((p.a, p.b))
+    if ring is None:
         raise MissingSeedsError("no points given")
-    ring = next(iter(distinct)).ring
-    for p in distinct:
-        _same_ring(ring, p.ring)
-    if ring.zero not in distinct or ring.one not in distinct:
+    if (0, 0) not in distinct or (1, 0) not in distinct:
         raise MissingSeedsError("window reconstruction needs both 0 and 1 among the points")
-    pts = _sorted_exact(ring, distinct)
-    upper: list[QuadInt] = []
-    lower: list[QuadInt] = []
-    for prev, cur in zip(pts, pts[1:]):
-        da, db = cur.a - prev.a, cur.b - prev.b
-        if _sign_pair(ring, cur.a - 1, cur.b) > 0:  # step reaches above 1
-            if _sign_pair(ring, da - 1, db) > 0:
-                gap = QuadInt(ring, da, db)
-                raise ChainBrokenError(
-                    f"gap {gap} (~{float(gap):.4f}) exceeds 1 above the seed interval",
-                    gap=gap,
-                )
-            upper.append(cur)
-        if _sign_pair(ring, prev.a, prev.b) < 0:  # step starts below 0
-            if _sign_pair(ring, da - 1, db) > 0:
-                gap = QuadInt(ring, da, db)
-                raise ChainBrokenError(
-                    f"gap {gap} (~{float(gap):.4f}) exceeds 1 below the seed interval",
-                    gap=gap,
-                )
-            lower.append(prev)
-    hull = Interval.closed(pts[0], pts[-1])
-    return WindowReconstruction(hull, tuple(upper), tuple(lower[::-1]))
+    pts = _sorted_pairs(ring, list(distinct))
+    i0, i1 = pts.index((0, 0)), pts.index((1, 0))
+    for k in [*range(1, i0 + 1), *range(i1 + 1, len(pts))]:
+        da, db = pts[k][0] - pts[k - 1][0], pts[k][1] - pts[k - 1][1]
+        if _sign_pair(ring, da - 1, db) > 0:
+            gap = QuadInt(ring, da, db)
+            raise ChainBrokenError(
+                f"gap {gap} (~{float(gap):.4f}) exceeds 1 "
+                f"{'below' if k <= i0 else 'above'} the seed interval",
+                gap=gap,
+            )
+    hull = Interval.closed(*_quadints(ring, (pts[0], pts[-1])))
+    upper, lower = _quadints(ring, pts[i1 + 1:]), _quadints(ring, reversed(pts[:i0]))
+    return WindowReconstruction(hull, tuple(upper), tuple(lower))

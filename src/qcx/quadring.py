@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, total_ordering
 from itertools import islice
 from math import gcd, isqrt
-from typing import Collection, Iterable, Union
+from typing import Iterable, Union
 
 from .errors import OutOfRangeError, RingMismatchError
 
@@ -408,12 +408,6 @@ def _sorted_pairs(ring: RingSpec, pairs: list[tuple[int, int]]) -> list[tuple[in
             out.sort(key=cmp_to_key(lambda x, y: _sign_pair(ring, x[0] - y[0], x[1] - y[1])))
             break
     return out
-
-
-def _sorted_exact(ring: RingSpec, points: Collection[QuadInt]) -> list[QuadInt]:
-    """The elements ``points`` of ``ring`` in exact increasing order (see _sorted_pairs)."""
-    pairs = [(p.a, p.b) for p in points]
-    return list(map(dict(zip(pairs, points)).__getitem__, _sorted_pairs(ring, pairs)))
 
 
 # ---------------------------------------------------------------------------

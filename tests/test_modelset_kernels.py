@@ -6,9 +6,10 @@ is compared here with a local copy of the earlier ``QuadRat``/``QuadInt``
 implementation, or with a brute-force box scan built on that copy.
 """
 
+import logging
 import random
 from functools import cmp_to_key
-from math import sqrt
+from math import isqrt, sqrt
 
 import pytest
 
@@ -17,6 +18,7 @@ from qcx import (
     ConvexityReport,
     ConvexityViolation,
     Interval,
+    MissingSeedsError,
     PointSet,
     QuadInt,
     QuadRat,
@@ -214,6 +216,43 @@ def test_enumeration_matches_box_scan(ring):
             assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in expected], (window, span)
 
 
+def _wide_span(ring):
+    """A span holding a few dozen points of a window of length 3."""
+    r = 4 * isqrt(ring.disc) + 4
+    return Interval.closed(-r, r, ring)
+
+
+def _exact_hit_ends(ring):
+    """Span ends and window ends that four distinct points of the model set
+    hit exactly: the window ends are conjugates of two central points, the
+    span ends two outer points whose conjugates lie inside that window."""
+    pts = enumerate_model_set(ring, Interval.closed(-1, 2, ring), _wide_span(ring)).points
+    q = len(pts) // 4
+    inner = ref_sorted([p.conj() for p in pts[q:-q]])
+    w_lo, w_hi = inner[1], inner[-2]
+    outer = [p for p in pts if w_lo < p.conj() < w_hi]
+    return outer[1], outer[-2], w_lo, w_hi
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_enumeration_exact_ends_all_flags(ring):
+    """Integral ends hit by lattice points in every flag combination, given as
+    ring integers and as rationals (x*d)/d; each open flag drops exactly the
+    point on its end, so all sixteen results differ."""
+    s_lo, s_hi, w_lo, w_hi = _exact_hit_ends(ring)
+    for d in (1, 3):
+        results = set()
+        for span_flags in FLAGS:
+            span = Interval(QuadRat(s_lo * d, d), QuadRat(s_hi * d, d), *span_flags)
+            for window_flags in FLAGS:
+                window = Interval(QuadRat(w_lo * d, d), QuadRat(w_hi * d, d), *window_flags)
+                got = [(p.a, p.b) for p in enumerate_model_set(ring, window, span)]
+                assert got == [(p.a, p.b) for p in ref_box_scan(ring, window, span)], (
+                    window, span)
+                results.add(tuple(got))
+        assert len(results) == 16
+
+
 def test_enumeration_far_from_origin():
     for ring in RINGS:
         x0 = ring.element(10**12, -(10**11))
@@ -255,6 +294,32 @@ def test_check_convexity_matches_reference(ring):
                 seen_flags.update(v.conj_in_window for v in got.violations)
         assert check_convexity(full, s).ok
     assert seen_flags == {True, False, None}
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_check_convexity_any_order_and_open_ends(ring):
+    """Shuffled, thinned and repeated point orders, s = 0, s = 1 and every
+    characterizing parameter, with span ends on removed points under all
+    four flag pairs: the report equals the reference's, violation order
+    included."""
+    window = Interval.closed(-1, 2, ring)
+    full = enumerate_model_set(ring, window, _wide_span(ring))
+    rng = random.Random(f"runs/{ring.m}/{ring.eps}")
+    lo, hi = full.points[3], full.points[-4]
+    kept = [p for p in full.points if p not in (lo, hi) and rng.random() < 0.75]
+    shuffled = rng.sample(kept, len(kept))
+    orders = [kept, shuffled, shuffled + shuffled[:4], kept[::-1]]
+    params = [ring.zero, ring.one, *characterizing_params(ring).params]
+    violations = 0
+    for flags in FLAGS:
+        span = Interval(QuadRat(lo), QuadRat(hi), *flags)
+        for pts in orders:
+            ps = PointSet(ring, tuple(pts), span)
+            for s in params:
+                got = check_convexity(ps, s, window)
+                assert got == ref_check_convexity(ps, s, window), (flags, s)
+                violations += len(got.violations)
+    assert violations
 
 
 def test_check_convexity_counts_repeated_objects():
@@ -326,7 +391,56 @@ def test_reconstruct_window_gap_matches_reference(ring):
         assert exc.value.gap == gap
 
 
+def test_reconstruct_window_reads_any_iterable_once():
+    ring = RINGS[4]
+    conj = enumerate_model_set(ring, Interval.closed(-1, 2, ring),
+                               Interval.closed(-30, 30, ring)).conj_values()
+    want = reconstruct_window(conj)
+    assert reconstruct_window(c for c in conj) == want
+    repeated = list(conj) + list(conj[::3]) + [ring.zero, ring.one, ring.element(1)]
+    random.Random(3).shuffle(repeated)
+    assert reconstruct_window(repeated) == want
+    assert (want.hull.lo, want.hull.hi) == (min(conj), max(conj))
+    assert all(u > 1 for u in want.upper) and all(v < 0 for v in want.lower)
+    assert list(want.upper) == sorted(want.upper) and list(want.lower) == sorted(want.lower)[::-1]
+    with pytest.raises(ChainBrokenError) as exc:
+        reconstruct_window(ring.element(k) for k in (0, 1, 1, 5, 0, -1))
+    assert exc.value.gap == 4
+    with pytest.raises(MissingSeedsError):
+        reconstruct_window(iter(()))
+    with pytest.raises(MissingSeedsError):
+        reconstruct_window(ring.element(k) for k in (0, 2, 3))
+
+
 def test_reconstruct_window_across_rings_raises():
     golden, silver = RINGS[0], RINGS[1]
     with pytest.raises(RingMismatchError):
         reconstruct_window([golden.zero, golden.one, silver.beta])
+
+
+# -- debug records -----------------------------------------------------------
+
+
+def test_modelset_debug_records(caplog):
+    ring = RINGS[0]
+    window, span = Interval.closed(-1, 2, ring), Interval.closed(-6, 6, ring)
+    s = characterizing_params(ring).params[0]
+    with caplog.at_level(logging.DEBUG, logger="qcx.modelset"):
+        caplog.clear()
+        ps = enumerate_model_set(ring, window, span)
+        (rec,) = [r for r in caplog.records if r.name == "qcx.modelset"]
+        assert rec.msg.startswith("enumerate_model_set") and rec.args == (9, len(ps)) == (9, 18)
+        pts = ps.points[:4] + ps.points[5:]
+        # combinations inside the range, y is x included
+        inside = sum(ref_contains(span, s * x + (1 - s) * y) for x in pts for y in pts)
+        for order, certificate in [(pts, "held"), (pts[::-1], "failed")]:
+            caplog.clear()
+            report = check_convexity(PointSet(ring, order, span), s, window)
+            (rec,) = [r for r in caplog.records if r.name == "qcx.modelset"]
+            assert rec.msg.startswith("check_convexity")
+            assert rec.args == (272, inside, 7, certificate) == (272, 112, 7, certificate)
+            assert len(report.violations) == 7
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="qcx.modelset"):
+            check_convexity(ps, s, window)
+        assert not [r for r in caplog.records if r.name == "qcx.modelset"]
