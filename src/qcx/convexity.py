@@ -342,7 +342,8 @@ def closure_bfs(
     lattice.  A round then keys points by L(a, b) = p*a + q*b, injective on
     its candidates and nearly consecutive along the strip, and finds the keys
     of all s*x + (1-s)*y as an exact sumset: one big-number product of
-    slot-encoded key sets per parameter and direction (``_sumset_round``).
+    slot-encoded key sets per parameter, all known points by all known
+    points (``_sumset_round``).
     Parameter sets without a common side, and rounds where a sumset would
     cost more time or memory than the pair loop (see ``_SUMSET_SPARSITY``),
     run the pair loop (``_pair_round``).  The pairs are filtered by ``span``,
@@ -406,6 +407,9 @@ def closure_bfs(
 # the loop would form (a candidate of the loop costs about what a product
 # digit does), or where its factors span more than _SUMSET_SPARSITY key
 # slots per key, which bounds the memory of a sumset by the number of points.
+# The rule prices two products per parameter, of new x by known y and of
+# known x by new y; a round makes one, of all known x by all known y, which
+# costs less than the two, so the rule is conservative.
 _DIGITS_PER_PAIR = 1
 _SUMSET_SPARSITY = 256
 
@@ -444,21 +448,25 @@ def _sumset_round(ring: RingSpec, order: list[tuple[int, int]], frontier_len: in
     """The new points of one round as a strip sumset, or None where the pair
     loop is cheaper.
 
-    Returns ``(new_points, candidates, key_bits)``.  Each point has the key
-    L(a, b) = p*a + q*b with p = 2*bmax + 1, bmax a bound on |b| over the
-    candidates, and gcd(p, q) = 1, so L is injective on them (a collision
-    would need p | db); q ~ p*beta (side +1) or p*beta' (side -1) makes the keys of
-    the strip nearly consecutive integers.  L is linear, so the keys of
-    s*x + (1-s)*y are the sums of those of s*x and (1-s)*y: for each
-    parameter, one product of two slot-encoded numbers counts them for x new
-    and y known, one more for x known and y new.  A slot has enough decimal
-    digits for any count, so none carries.
+    Returns ``(new_points, candidates, key_bits)``; ``candidates`` is None
+    unless the ``qcx.convexity`` logger is enabled for DEBUG.  Each point has
+    the key L(a, b) = p*a + q*b with p = 2*bmax + 1, bmax a bound on |b| over
+    the combinations of any two known points, and gcd(p, q) = 1, so L is
+    injective on them (a collision would need p | db); q ~ p*beta (side +1)
+    or p*beta' (side -1) makes the keys of the strip nearly consecutive
+    integers.  L is linear, so the keys of s*x + (1-s)*y are the sums of
+    those of s*x and (1-s)*y: for each parameter, one product of two
+    slot-encoded numbers counts them for every known x and y.  Two points
+    known before the round combine to a known point (formed in the round in
+    which the later of them was new), so the product finds exactly the new
+    points of the pairs with a new point.  A slot counts at most n pairs, and
+    has enough decimal digits for n, so none carries.
     """
     # imported here, not with the module: it would add about 1 ms to every
     # import of qcx.  Its products of long numbers run in O(n log n).
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 
-    multiply = Context(prec=MAX_PREC, Emax=MAX_EMAX).multiply  # never rounds
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # never rounds
     m, eps = ring.m, ring.eps
     n = len(order)
     new = n - frontier_len
@@ -471,46 +479,61 @@ def _sumset_round(ring: RingSpec, order: list[tuple[int, int]], frontier_len: in
     q = (p * m + side * isqrt(p * p * ring.disc)) >> 1  # beta, beta' = (m +- sqrt(D))/2
     while gcd(p, q) != 1:
         q += 1
-    width = len(str(frontier_len))  # 10^width > any slot count
-    acc, origin = 0, None
+    factors = []
     for pa, pb in param_pairs:
         # L(s*x) = alpha*a + delta*b and L((1-s)*x) = L(x) - L(s*x)
         alpha, delta = p * pa + q * pb, p * eps * pb + q * (pa + m * pb)
         ks = [alpha * a + delta * b for a, b in order]
         kr = [(p - alpha) * a + (q - delta) * b for a, b in order]
-        for xs, ys in ((ks[new:], kr), (ks, kr[new:])):
-            lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-            span = hi_x - lo_x + hi_y - lo_y + 1  # slots of the product
-            if (span * width > _DIGITS_PER_PAIR * len(xs) * len(ys)
-                    or span > _SUMSET_SPARSITY * (len(xs) + len(ys))):
-                return None
-            prod = multiply(Decimal(_slot_digits(xs, lo_x, hi_x, width)),
-                            Decimal(_slot_digits(ys, lo_y, hi_y, width)))
-            # one byte per decimal digit, 1 where the digit is nonzero
-            flags = int.from_bytes(str(prod).encode().translate(_NONZERO), "big")
-            lo = lo_x + lo_y
-            if origin is None:
-                acc, origin = flags, lo
-            elif lo >= origin:
-                acc |= flags << (8 * width * (lo - origin))
-            else:
-                acc = (acc << (8 * width * (origin - lo))) | flags
-                origin = lo
-    # one byte per slot, 1 where some digit of the slot is nonzero
-    slots = -(-acc.bit_length() // (8 * width))
-    acc = acc.to_bytes(slots * width, "little")
-    hit = bytearray(reduce(or_, (int.from_bytes(acc[j::width], "little") for j in range(width)))
-                    .to_bytes(slots, "little"))
-    candidates = hit.count(1)
+        lo_x, hi_x, lo_y, hi_y = min(ks), max(ks), min(kr), max(kr)
+        # the rule prices the products of new x by known y and of known x by
+        # new y, with slots of len(str(frontier_len)) digits
+        kx, ky = ks[new:], kr[new:]
+        span = max(max(kx) - min(kx) + hi_y - lo_y, hi_x - lo_x + max(ky) - min(ky)) + 1
+        if (span * len(str(frontier_len)) > _DIGITS_PER_PAIR * frontier_len * n
+                or span > _SUMSET_SPARSITY * (frontier_len + n)):
+            return None
+        factors.append((ks, kr, lo_x, hi_x, lo_y, hi_y))
+    debug = log.isEnabledFor(logging.DEBUG)
+    width = len(str(n))  # 10^width > any slot count
+    origin = min(lo_x + lo_y for _, _, lo_x, _, lo_y, _ in factors)
+    acc = acc_new = 0
+    for ks, kr, lo_x, hi_x, lo_y, hi_y in factors:
+        prod = exact.multiply(Decimal(_slot_digits(ks, lo_x, hi_x, width)),
+                              Decimal(_slot_digits(kr, lo_y, hi_y, width)))
+        shift = 8 * width * (lo_x + lo_y - origin)
+        acc |= _digit_flags(prod) << shift
+        if debug:
+            # the pairs with a new point: all pairs less the pairs of two old
+            # points, slot by slot; no slot goes below zero, so none borrows
+            old = exact.multiply(Decimal(_slot_digits(ks[:new], lo_x, hi_x, width)),
+                                 Decimal(_slot_digits(kr[:new], lo_y, hi_y, width)))
+            acc_new |= _digit_flags(exact.subtract(prod, old)) << shift
+    hit = _slot_flags(acc, width)
+    candidates = _slot_flags(acc_new, width).count(1) if debug else None
+    # every known x is x |- x, so each known key is a slot of the product
     for a, b in order:
-        t = p * a + q * b - origin
-        if 0 <= t < slots:
-            hit[t] = 0
+        hit[p * a + q * b - origin] = 0
     # key = p*a + q*b with -bmax <= b <= bmax, so b + bmax = key/q mod p
     q_inv = pow(q, -1, p)
     fresh = [((key - q * b) // p, b) for key in compress(count(origin), hit)
              for b in ((key * q_inv + bmax) % p - bmax,)]
     return fresh, candidates, p.bit_length()
+
+
+def _digit_flags(prod) -> int:
+    """One byte per decimal digit of the integer ``prod``, 1 where the digit
+    is nonzero."""
+    return int.from_bytes(str(prod).encode().translate(_NONZERO), "big")
+
+
+def _slot_flags(flags: int, width: int) -> bytearray:
+    """One byte per slot of ``width`` digit bytes, 1 where some digit of the
+    slot is nonzero."""
+    slots = -(-flags.bit_length() // (8 * width))
+    digits = flags.to_bytes(slots * width, "little")
+    return bytearray(reduce(or_, (int.from_bytes(digits[j::width], "little")
+                                  for j in range(width))).to_bytes(slots, "little"))
 
 
 def _pair_round(ring: RingSpec, order: list[tuple[int, int]], frontier_len: int,

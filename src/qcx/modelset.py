@@ -169,14 +169,30 @@ class PointSet:
         ]
 
 
-def _a_end(ring: RingSpec, p: int, q: int, d: int, closed: bool, upper: bool) -> int:
+def _a_ends(ring: RingSpec, p: int, q: int, dp: int, dq: int, d: int, rows: int,
+            closed: bool, upper: bool) -> list[int]:
     """The least integer a >= e (a > e if not ``closed``), or with ``upper``
-    the greatest a <= e (a < e), for the end e = (p + q*beta)/d with d > 0.
-    e is an integer only when q == 0 and d | p; otherwise floor(e) decides."""
+    the greatest a <= e (a < e), for each end e = (p + j*dp + (q + j*dq)*beta)/d
+    of the rows j = 0 .. rows - 1, with d > 0.
+
+    From one row to the next e moves by (dp + dq*beta)/d, whose floor is k,
+    so floor(e) moves by k or k + 1; one exact sign test decides which.  e is
+    an integer only when its beta coordinate is 0 and d divides the other;
+    otherwise floor(e) decides."""
+    k = _floor_pair(ring, dp, dq, d)
     n = _floor_pair(ring, p, q, d)
-    if q or p % d:
-        return n if upper else n + 1
-    return n - (not closed) if upper else n + (not closed)
+    ends = []
+    for _ in range(rows):
+        if q or p % d:
+            ends.append(n if upper else n + 1)
+        else:
+            ends.append(n - (not closed) if upper else n + (not closed))
+        p += dp
+        q += dq
+        n += k
+        if _sign_pair(ring, p - (n + 1) * d, q) >= 0:
+            n += 1
+    return ends
 
 
 def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> PointSet:
@@ -185,8 +201,9 @@ def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> Poi
     x - conj(x) = b*sqrt(D) pins the integer range of b from the two interval
     constraints.  For each b the admissible a form one integer interval, the
     intersection of x in ``span`` and conj(x) in ``window``; its exact ends are
-    floors of integer pairs adjusted by the open/closed flags, so every a
-    between them is a point and no candidate is tested on its own.
+    floors of integer pairs adjusted by the open/closed flags, each carried
+    from the row b - 1 by one sign test, so every a between them is a point
+    and no candidate is tested on its own.
     """
     _same_ring(ring, window.lo.ring)
     _same_ring(ring, span.lo.ring)
@@ -194,24 +211,26 @@ def enumerate_model_set(ring: RingSpec, window: Interval, span: Interval) -> Poi
     inv_sqrt = QuadRat(sqrt_disc, ring.disc)  # 1/sqrt(D)
     b_lo = ((span.lo - window.hi) * inv_sqrt).floor()
     b_hi = ((span.hi - window.lo) * inv_sqrt).floor() + 1
+    rows = b_hi - b_lo + 1
     m = ring.m
     sla, slb, sld, sha, shb, shd = span._ends
     wla, wlb, wld, wha, whb, whd = window._ends
+    # a against span.lo - b*beta, window.lo - b*conj(beta) and the same for
+    # the upper ends, with conj(beta) = m - beta; each row adds -beta to the
+    # span ends and -conj(beta) to the window ends
+    a_lo = map(max,
+               _a_ends(ring, sla, slb - b_lo * sld, 0, -sld, sld, rows, span.lo_closed, False),
+               _a_ends(ring, wla - b_lo * m * wld, wlb + b_lo * wld, -m * wld, wld, wld, rows,
+                       window.lo_closed, False))
+    a_hi = map(min,
+               _a_ends(ring, sha, shb - b_lo * shd, 0, -shd, shd, rows, span.hi_closed, True),
+               _a_ends(ring, wha - b_lo * m * whd, whb + b_lo * whd, -m * whd, whd, whd, rows,
+                       window.hi_closed, True))
     pairs: list[tuple[int, int]] = []
-    for b in range(b_lo, b_hi + 1):
-        # a against span.lo - b*beta, window.lo - b*conj(beta) and the same
-        # for the upper ends, with conj(beta) = m - beta
-        a_lo = max(
-            _a_end(ring, sla, slb - b * sld, sld, span.lo_closed, False),
-            _a_end(ring, wla - b * m * wld, wlb + b * wld, wld, window.lo_closed, False),
-        )
-        a_hi = min(
-            _a_end(ring, sha, shb - b * shd, shd, span.hi_closed, True),
-            _a_end(ring, wha - b * m * whd, whb + b * whd, whd, window.hi_closed, True),
-        )
-        pairs.extend(zip(range(a_lo, a_hi + 1), repeat(b)))
+    for b, lo, hi in zip(range(b_lo, b_hi + 1), a_lo, a_hi):
+        pairs.extend(zip(range(lo, hi + 1), repeat(b)))
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("enumerate_model_set: %d b rows, %d points", b_hi - b_lo + 1, len(pairs))
+        log.debug("enumerate_model_set: %d b rows, %d points", rows, len(pairs))
     return PointSet(ring, tuple(_quadints(ring, _sorted_pairs(ring, pairs))), span)
 
 

@@ -1,6 +1,7 @@
 """closure_bfs, the exact sort helper and the integer divisibility filter,
 each checked against a plain reference implementation kept in this file."""
 
+import collections
 import functools
 import logging
 import math
@@ -175,6 +176,147 @@ def test_golden_depth_8_by_sumset(caplog):
     assert [r[3] for r in recs] == ["pairs"] * 2 + ["sumset"] * 6
     with pytest.raises(BudgetExceededError, match="at round 8$"):
         closure_bfs([ring.zero, ring.one], s, 8, node_cap=37_889)
+
+
+def test_round_records_pin_the_direct_side(caplog):
+    # 1/beta is convex on the direct side; rounds 3 and 4 run the sumset
+    ring = ring_make(4, -1)
+    s = ring.inv_beta
+    base = [ring.zero, ring.one]
+    _, recs = round_records(caplog, base, s, 4)
+    assert recs == [
+        (1, 2, 4, "pairs", 4, 7),
+        (2, 8, 12, "pairs", 10, 9),
+        (3, 44, 56, "sumset", 54, 7),
+        (4, 290, 346, "sumset", 344, 9),
+    ]
+    # round 4 combines the 56 points known at its start, 44 of them new.  The
+    # candidates are the distinct points of the pairs with a new point; the
+    # pairs of two old points hit known points that no such pair does, which
+    # a product of all known points by all known points counts as well
+    known = naive_rounds(base, (s,), 3)
+    old, cur = known[2], list(known[3])
+    with_new = {s * x + (1 - s) * y for x in cur for y in cur if x not in old or y not in old}
+    every = {s * x + (1 - s) * y for x in cur for y in cur}
+    assert len(with_new) == 344
+    assert every - with_new and every - with_new <= known[3]
+
+
+def two_product_round(ring, order, frontier_len, param_pairs, side):
+    """The strip sumset round as two products per parameter, new x by known y
+    and known x by new y, decoded through a set of hit keys: the new points
+    in key order, the distinct candidates and the key bits."""
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
+
+    multiply = Context(prec=MAX_PREC, Emax=MAX_EMAX).multiply
+    m, eps = ring.m, ring.eps
+    n = len(order)
+    new = n - frontier_len
+    bmax = 0
+    for pa, pb in param_pairs:
+        c = pa + m * pb
+        bmax = max(bmax, max(abs(pb * a + c * b) for a, b in order)
+                   + max(abs((1 - c) * b - pb * a) for a, b in order))
+    p = 2 * bmax + 1
+    q = (p * m + side * math.isqrt(p * p * ring.disc)) >> 1
+    while math.gcd(p, q) != 1:
+        q += 1
+    width = len(str(frontier_len))
+
+    def slots(keys, lo):
+        digits = bytearray(b"0") * ((max(keys) - lo + 1) * width)
+        for k in keys:
+            digits[-1 - (k - lo) * width] = ord("1")
+        return Decimal(digits.decode())
+
+    hits = set()
+    for pa, pb in param_pairs:
+        alpha, delta = p * pa + q * pb, p * eps * pb + q * (pa + m * pb)
+        ks = [alpha * a + delta * b for a, b in order]
+        kr = [(p - alpha) * a + (q - delta) * b for a, b in order]
+        for xs, ys in ((ks[new:], kr), (ks, kr[new:])):
+            lo = min(xs) + min(ys)
+            text = str(multiply(slots(xs, min(xs)), slots(ys, min(ys))))[::-1]
+            hits.update(lo + j for j in range(0, -(-len(text) // width))
+                        if text[j * width:(j + 1) * width].strip("0"))
+    q_inv = pow(q, -1, p)
+    fresh = []
+    for key in sorted(hits - {p * a + q * b for a, b in order}):
+        b = (key * q_inv + bmax) % p - bmax
+        fresh.append(((key - q * b) // p, b))
+    return fresh, len(hits), p.bit_length()
+
+
+def test_one_product_round_matches_two_products(caplog, monkeypatch):
+    take_path(monkeypatch, "sumset")
+    cases = [
+        ((1, 1), "neg_beta", 6, ((0, 0), (1, 0))),
+        ((1, 1), "neg_beta", 4, ((0, 0), (1, 0), (-3, 2))),
+        ((4, -1), "inv_beta", 4, ((0, 0), (1, 0))),
+        ((3, 1), "char", 3, ((0, 0), (1, 0))),
+        ((5, -1), "char", 3, ((0, 0), (1, 0))),
+    ]
+    sides, wider = set(), 0
+    for key, family, depth, seeds in cases:
+        ring = ring_make(*key)
+        params = {"neg_beta": [ring.element(0, -1)], "inv_beta": [ring.inv_beta],
+                  "char": list(characterizing_params(ring).params)}[family]
+        pairs = [(s.a, s.b) for s in params]
+        side = qcx.convexity._strip_side(ring, pairs)
+        sides.add(side)
+        order, frontier_len = list(seeds), len(seeds)
+        for round_no in range(1, depth + 1):
+            args = (ring, order, frontier_len, pairs, side)
+            want = two_product_round(*args)
+            with caplog.at_level(logging.INFO, logger="qcx.convexity"):
+                quiet = qcx.convexity._sumset_round(*args)
+            with caplog.at_level(logging.DEBUG, logger="qcx.convexity"):
+                counted = qcx.convexity._sumset_round(*args)
+            label = (key, family, len(seeds), round_no)
+            assert counted == want, label
+            assert quiet == (want[0], None, want[2]), label
+            # slots grow to len(str(n)) digits where the two products had
+            # len(str(frontier_len))
+            wider += len(str(len(order))) > len(str(frontier_len))
+            order = order + want[0]
+            frontier_len = len(want[0])
+    assert sides == {-1, 1} and wider >= 2
+
+
+def test_sumset_slots_hold_counts_up_to_n(caplog, monkeypatch):
+    # 32 known points of which the last 5 count as new: some key is formed by
+    # more pairs of known points than one digit, the slot width of 5, holds
+    take_path(monkeypatch, "sumset")
+    ring = RINGS[0]
+    s = ring.element(0, -1)
+    pts = list(closure_bfs([ring.zero, ring.one], s, 3).points)
+    every = collections.Counter(s * x + (1 - s) * y for x in pts for y in pts)
+    assert max(every.values()) >= 10
+    with caplog.at_level(logging.DEBUG, logger="qcx.convexity"):
+        fresh, candidates, _ = qcx.convexity._sumset_round(
+            ring, [(p.a, p.b) for p in pts], 5, [(s.a, s.b)], -1)
+    assert sorted(fresh) == sorted((z.a, z.b) for z in set(every) - set(pts))
+    new = pts[-5:]
+    assert candidates == len({s * x + (1 - s) * y for x in pts for y in pts
+                              if x in new or y in new})
+
+
+@pytest.mark.parametrize("level,per_param", [(logging.INFO, 1), (logging.DEBUG, 2)])
+def test_products_per_parameter_and_round(level, per_param, caplog, monkeypatch):
+    # with logging off one product of all known points by all known points;
+    # the debug count of candidates adds one of the old points by themselves
+    take_path(monkeypatch, "sumset")
+    real = qcx.convexity._slot_digits
+    calls = []
+    monkeypatch.setattr(qcx.convexity, "_slot_digits",
+                        lambda *args: calls.append(args) or real(*args))
+    ring = ring_make(3, 1)
+    params = characterizing_params(ring)
+    assert len(params.params) == 2
+    with caplog.at_level(level, logger="qcx.convexity"):
+        got = closure_bfs([ring.zero, ring.one], params, 3)
+    assert len(got) == 390
+    assert len(calls) == 2 * per_param * len(params.params) * 3  # two factors a product
 
 
 @pytest.mark.parametrize("key,params,depth,seeds", [
