@@ -1128,13 +1128,15 @@ def scan_witness_completeness(
     Equivalent to running ``witness_for`` / ``verify_witness`` /
     ``reduce_witness`` per element, and built from the same parts: the
     evaluator, the reducer and the leaf substituter (for complements) of
-    those functions, each with one memo shared by all targets of the ring,
-    and the same seed hull check, made once over every value evaluated.
-    Only the walk is its own: a depth-first search over admissible digit
-    strings that extends the witness DAG of a prefix by one digit, as
-    ``_tree_from_digits`` does for a whole string, so the targets share
-    their common subtrees.  ``nodes`` counts the distinct DAG nodes
-    evaluated, leaves included.
+    those functions, and the same seed hull check.  Only the walk is its
+    own: a depth-first search over admissible digit strings that extends
+    the witness DAG of a prefix by one digit, as ``_tree_from_digits`` does
+    for a whole string, so the targets share their common subtrees.  The
+    memos hold the nodes of the live prefixes only: a branch that returns
+    drops the entries it added, newest first, and checks their values
+    against the hull, so memory follows the depth of the search rather
+    than its size.  ``nodes`` counts the distinct DAG nodes evaluated,
+    leaves included.
     """
     if max_len < 1:
         raise OutOfRangeError("max_len must be at least 1")
@@ -1153,9 +1155,11 @@ def scan_witness_completeness(
     first_failure: str | None = None
 
     val: dict = {}
+    rmemo: dict = {}
+    smemo: dict = {}
     ev = _evaluator(ring, (0, 0), (1, 0), val)
-    rd = _reducer(ring, cap, {})
-    sw = _substituter(LEAF_ZERO, LEAF_ONE, {})
+    rd = _reducer(ring, cap, rmemo)
+    sw = _substituter(LEAF_ZERO, LEAF_ONE, smemo)
 
     mix: dict = {LEAF_ZERO: 0, LEAF_ONE: 0}
 
@@ -1169,12 +1173,37 @@ def scan_witness_completeness(
     targets = 2  # the endpoints, witnessed by bare leaves
     complements = 0
     max_op_seen = 0
+    released = 0
+    peak = 0
 
     def fail(msg: str) -> None:
         nonlocal failures, first_failure
         failures += 1
         if first_failure is None:
             first_failure = msg
+
+    memos = (val, mix, rmemo, smemo)
+
+    def release(marks) -> None:
+        # pop, newest first, the entries made since ``marks`` were taken (the
+        # sizes of ``memos``); the popped values are checked against the seed hull
+        nonlocal released, peak
+        peak = max(peak, len(val))
+        batch = [val.popitem()[1] for _ in range(len(val) - marks[0])]
+        released += len(batch)
+        if not _in_hull(ring, batch, (0, 0), (1, 0)):
+            fail("an intermediate witness value left the seed hull")
+        for memo, n in zip(memos, marks):
+            for _ in range(len(memo) - n):
+                memo.popitem()
+
+    def prime(n) -> None:
+        # memoise what the targets of a level ask of its prefix node n, so the
+        # entries outlive the children that would otherwise make them
+        for x in (n, sw(n)) if eps == -1 else (n,):
+            for y in (x, rd(x)):
+                ev(y)
+                mi(y)
 
     wraps: list[TreeNode] = []
 
@@ -1208,14 +1237,18 @@ def scan_witness_completeness(
             elif mi(rsnode) > cap:
                 fail(f"reduced complement for {ca},{cb} keeps index {mi(rsnode)} > {cap}")
 
-    def dfs(depth: int, m0, m1, va: int, vb: int, after_max: bool, hot: bool, pending: int) -> None:
+    def dfs(depth: int, m0, m1, va: int, vb: int, hot: bool, pending: int) -> None:
+        # every level checks digit 1, so its prefix nodes are always needed;
+        # a level that recurses drops all it added when it returns, the last
+        # level leaves that to its parent (one release per leaf level is slower)
         ipa, ipb = invpow[depth + 1]
         more = depth + 1 < max_len
+        if more:
+            marks = [len(memo) for memo in memos]
+        prime(m0)
+        prime(m1)
         for c in range(dmax + 1):
-            if eps == 1:
-                if after_max and c:
-                    break
-            elif hot and c == m - 1:
+            if hot and c == m - 1:
                 continue
             nva, nvb = va + c * ipa, vb + c * ipb
             e = c + pending
@@ -1224,33 +1257,37 @@ def scan_witness_completeness(
             if not more:
                 continue
             if eps == 1:
-                if after_max:
-                    dfs(depth + 1, m0, m1, nva, nvb, False, False, 0)
-                elif c == m:
-                    dfs(depth + 1, Node(m, m1, m0), m1, nva, nvb, True, False, 0)
+                if c == m:
+                    # digit m is followed by 0: take both digits in one step
+                    if depth + 2 < max_len:
+                        dfs(depth + 2, Node(m, m1, m0), m1, nva, nvb, False, 0)
                 elif c:
-                    dfs(depth + 1, Node(c, m1, m0), Node(c + 1, m1, m0), nva, nvb, False, False, 0)
+                    dfs(depth + 1, Node(c, m1, m0), Node(c + 1, m1, m0), nva, nvb, False, 0)
                 else:
-                    dfs(depth + 1, m0, Node(1, m1, m0), nva, nvb, False, False, 0)
+                    dfs(depth + 1, m0, Node(1, m1, m0), nva, nvb, False, 0)
             else:
                 nhot = c == m - 1 or (hot and c == m - 2)
                 if e == m - 1:
                     wraps.append(m1)
-                    dfs(depth + 1, m0, m1, nva, nvb, False, nhot, 1)
+                    dfs(depth + 1, m0, m1, nva, nvb, nhot, 1)
                     wraps.pop()
                 elif e:
-                    dfs(depth + 1, Node(e, m1, m0), Node(e + 1, m1, m0), nva, nvb, False, nhot, 0)
+                    dfs(depth + 1, Node(e, m1, m0), Node(e + 1, m1, m0), nva, nvb, nhot, 0)
                 else:
-                    dfs(depth + 1, m0, Node(1, m1, m0), nva, nvb, False, nhot, 0)
+                    dfs(depth + 1, m0, Node(1, m1, m0), nva, nvb, nhot, 0)
+        if more:
+            release(marks)
 
-    dfs(0, LEAF_ZERO, LEAF_ONE, 0, 0, False, False, 0)
+    dfs(0, LEAF_ZERO, LEAF_ONE, 0, 0, False, 0)
+    release((0, 0, 0, 0))
 
-    if not _in_hull(ring, val.values(), (0, 0), (1, 0)):
-        fail("an intermediate witness value left the seed hull")
     log.info(
         "scan %s len<=%d: %d targets, %d complements, %d failures, %d nodes",
-        ring, max_len, targets, complements, failures, len(val),
+        ring, max_len, targets, complements, failures, released,
     )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("scan %s len<=%d: at most %d live nodes, %d released",
+                  ring, max_len, peak, released)
     return ScanReport(
         ring=ring,
         max_len=max_len,
@@ -1259,6 +1296,6 @@ def scan_witness_completeness(
         complements=complements,
         failures=failures,
         max_op_index=max_op_seen,
-        nodes=len(val),
+        nodes=released,
         first_failure=first_failure,
     )

@@ -5,13 +5,17 @@ memoised factories that ``scan_witness_completeness`` shares.  The reference
 copies below walk each witness on their own, checking indices and the seed
 hull with ring-element comparisons at every node, as the functions did before
 those factories existed; results and verdicts must agree exactly.  The scan
-reports are pinned to the figures the private-walk scan produced.
+reports are pinned to the figures the private-walk scan produced, and the
+scan, whose memos hold only the live prefixes, is compared with a reference
+copy that keeps one memo per ring for the whole walk.
 """
 
+import logging
 import random
 
 import pytest
 
+import qcx.convexity
 from qcx import (
     LEAF_ONE,
     LEAF_ZERO,
@@ -19,13 +23,22 @@ from qcx import (
     Leaf,
     Node,
     RingSpec,
+    ScanReport,
     Witness,
     reduce_witness,
     scan_witness_completeness,
     verify_witness,
     witness_for,
 )
-from qcx.convexity import _checked_rewrite, _in_hull, index_cap
+from qcx.convexity import (
+    _checked_rewrite,
+    _evaluator,
+    _in_hull,
+    _pair_shift_down,
+    _reducer,
+    _substituter,
+    index_cap,
+)
 
 RINGS = tuple(RingSpec(m, eps) for m, eps in
               ((1, 1), (2, 1), (3, 1), (4, -1), (5, -1), (6, -1), (7, -1)))
@@ -237,3 +250,174 @@ def test_scan_report_pinned(key):
     got = (rep.targets, rep.complements, rep.nodes, rep.max_op_index)
     assert got == SCAN_PINS[key]
     assert rep.failures == 0 and rep.first_failure is None
+
+
+# -- scan against a whole-memo reference ---------------------------------------
+
+
+def ref_scan(ring, max_len):
+    """The scan with one memo per ring kept for the whole walk and one hull
+    check at the end; returns the report and the set of values evaluated."""
+    m, eps = ring.m, ring.eps
+    cap = index_cap(ring)
+    dmax = ring.digit_max
+    invpow = [(1, 0)]
+    for _ in range(max_len):
+        invpow.append(_pair_shift_down(m, eps, *invpow[-1]))
+    val = {}
+    ev = _evaluator(ring, (0, 0), (1, 0), val)
+    rd = _reducer(ring, cap, {})
+    sw = _substituter(LEAF_ZERO, LEAF_ONE, {})
+    mix = {LEAF_ZERO: 0, LEAF_ONE: 0}
+
+    def mi(n):
+        r = mix.get(n)
+        if r is None:
+            r = mix[n] = max(n.op, mi(n.left), mi(n.right))
+        return r
+
+    st = {"targets": 2, "complements": 0, "failures": 0, "top": 0, "first": None}
+
+    def fail(msg):
+        st["failures"] += 1
+        if st["first"] is None:
+            st["first"] = msg
+
+    wraps = []
+
+    def check(ta, tb, e, m1, m0):
+        node = Node(e, m1, m0)
+        for wnode in reversed(wraps):
+            node = Node(1, node, wnode)
+        st["targets"] += 1
+        st["top"] = max(st["top"], mi(node))
+        if ev(node) != (ta, tb):
+            return fail(f"witness for {ta},{tb} evaluates wrong")
+        rnode = rd(node)
+        if ev(rnode) != (ta, tb):
+            fail(f"reduced witness for {ta},{tb} evaluates wrong")
+        elif mi(rnode) > cap:
+            fail(f"reduced witness for {ta},{tb} keeps index {mi(rnode)} > {cap}")
+        if eps == -1:
+            ca, cb = 1 - ta, -tb
+            snode = sw(node)
+            st["complements"] += 1
+            if ev(snode) != (ca, cb):
+                return fail(f"complement witness for {ca},{cb} evaluates wrong")
+            rsnode = rd(snode)
+            if ev(rsnode) != (ca, cb):
+                fail(f"reduced complement witness for {ca},{cb} evaluates wrong")
+            elif mi(rsnode) > cap:
+                fail(f"reduced complement for {ca},{cb} keeps index {mi(rsnode)} > {cap}")
+
+    def dfs(depth, m0, m1, va, vb, after_max, hot, pending):
+        ipa, ipb = invpow[depth + 1]
+        more = depth + 1 < max_len
+        for c in range(dmax + 1):
+            if eps == 1:
+                if after_max and c:
+                    break
+            elif hot and c == m - 1:
+                continue
+            nva, nvb = va + c * ipa, vb + c * ipb
+            e = c + pending
+            if c:
+                check(nva, nvb, e, m1, m0)
+            if not more:
+                continue
+            if eps == 1:
+                if after_max:
+                    dfs(depth + 1, m0, m1, nva, nvb, False, False, 0)
+                elif c == m:
+                    dfs(depth + 1, Node(m, m1, m0), m1, nva, nvb, True, False, 0)
+                elif c:
+                    dfs(depth + 1, Node(c, m1, m0), Node(c + 1, m1, m0), nva, nvb, False, False, 0)
+                else:
+                    dfs(depth + 1, m0, Node(1, m1, m0), nva, nvb, False, False, 0)
+            else:
+                nhot = c == m - 1 or (hot and c == m - 2)
+                if e == m - 1:
+                    wraps.append(m1)
+                    dfs(depth + 1, m0, m1, nva, nvb, False, nhot, 1)
+                    wraps.pop()
+                elif e:
+                    dfs(depth + 1, Node(e, m1, m0), Node(e + 1, m1, m0), nva, nvb, False, nhot, 0)
+                else:
+                    dfs(depth + 1, m0, Node(1, m1, m0), nva, nvb, False, nhot, 0)
+
+    dfs(0, LEAF_ZERO, LEAF_ONE, 0, 0, False, False, 0)
+    if not _in_hull(ring, val.values(), (0, 0), (1, 0)):
+        fail("an intermediate witness value left the seed hull")
+    report = ScanReport(ring, max_len, cap, st["targets"], st["complements"], st["failures"],
+                        st["top"], len(val), st["first"])
+    return report, set(val.values())
+
+
+REF_SCANS = [(r.m, r.eps, 5) for r in RINGS] + [(m, 1, 6) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("key", REF_SCANS, ids=lambda k: "%d%+d-len%d" % k)
+def test_scan_matches_whole_memo_reference(key):
+    m, eps, ln = key
+    ring = RingSpec(m, eps)
+    assert scan_witness_completeness(ring, ln) == ref_scan(ring, ln)[0]
+
+
+def scan_records(caplog, ring, ln):
+    with caplog.at_level(logging.DEBUG, logger="qcx.convexity"):
+        caplog.clear()
+        rep = scan_witness_completeness(ring, ln)
+    return rep, [r for r in caplog.records if r.msg.startswith("scan ")]
+
+
+def test_scan_records_pin_nodes_and_live_entries(caplog):
+    rep, recs = scan_records(caplog, RingSpec(4, -1), 3)
+    head = "scan Z[beta], beta^2 = 4*beta - 1 len<=3: "
+    assert [r.getMessage() for r in recs] == [
+        head + "57 targets, 55 complements, 0 failures, 484 nodes",
+        head + "at most 140 live nodes, 484 released",
+    ]
+    assert [r.levelname for r in recs] == ["INFO", "DEBUG"]
+    assert rep.nodes == 484
+
+
+def test_scan_live_entries_stay_flat(caplog):
+    # the nodes grow about sevenfold per digit, the live entries by a few hundred
+    peaks = {}
+    for ln in (4, 5, 6):
+        rep, recs = scan_records(caplog, RingSpec(7, -1), ln)
+        peak, released = recs[-1].args[-2:]
+        assert released == rep.nodes
+        peaks[ln] = peak
+    assert rep.nodes == 1_010_446
+    assert peaks[4] <= peaks[5] <= peaks[6] < 2 * peaks[4] < rep.nodes // 500
+
+
+def test_scan_hull_check_sees_every_value(monkeypatch):
+    for ring, ln in ((RingSpec(2, 1), 5), (RingSpec(4, -1), 4), (RingSpec(7, -1), 3)):
+        seen = []
+
+        def record(ring_, values, lo, hi):
+            seen.append(list(values))
+            return _in_hull(ring_, seen[-1], lo, hi)
+
+        monkeypatch.setattr(qcx.convexity, "_in_hull", record)
+        rep = scan_witness_completeness(ring, ln)
+        ref, values = ref_scan(ring, ln)
+        assert rep == ref
+        assert sum(map(len, seen)) == rep.nodes
+        assert set().union(*seen) == values
+
+
+def test_scan_reports_a_batch_outside_the_hull(monkeypatch):
+    calls = []
+
+    def third_fails(ring_, values, lo, hi):
+        calls.append(None)
+        return len(calls) != 3
+
+    monkeypatch.setattr(qcx.convexity, "_in_hull", third_fails)
+    rep = scan_witness_completeness(RingSpec(4, -1), 3)
+    assert len(calls) > 3
+    assert not rep.ok and rep.failures == 1
+    assert rep.first_failure == "an intermediate witness value left the seed hull"
