@@ -3,7 +3,9 @@
 Digits of x > 0 are produced top-down: with k the largest exponent such that
 beta^k <= x, the leading digit is floor(x / beta^k) and the remainder is fed
 back through multiplication by beta.  Because beta is a unit, every remainder
-stays inside Z[beta] and all steps are exact.
+stays inside Z[beta] and all steps are exact.  The digit loop runs on the
+integer coordinates (a, b) of the remainder, with the exact sign and floor
+kernels of ``quadring``; ``convexity.witness_for`` calls it the same way.
 
 Admissibility follows the classical lexicographic criterion against the
 expansion of 1, which here is
@@ -28,7 +30,7 @@ from .errors import (
     OutOfRangeError,
     ParseError,
 )
-from .quadring import QuadInt, RingSpec
+from .quadring import QuadInt, RingSpec, _floor_pair, _sign_pair
 
 DEFAULT_MAX_DEPTH = 64
 
@@ -140,44 +142,61 @@ def representation_of_one(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, .
     return (ring.m - 1,), (ring.m - 2,)
 
 
+def _expand_pair(
+    ring: RingSpec, a: int, b: int, max_depth: int | None
+) -> tuple[int, list[int] | None]:
+    """Greedy expansion of a + b*beta > 0 on its integer coordinates.
+
+    Returns (top, digits): the digits at exponents top, top-1, ..., the first
+    and last of them nonzero.  ``digits`` is None when the expansion has not
+    closed out after ``max_depth`` digits; None as budget means no budget, for
+    callers that have decided finiteness beforehand.
+    """
+    m, eps = ring.m, ring.eps
+    # locate top exponent: beta^top <= x < beta^(top+1), i.e. x*beta^(-top) in [1, beta)
+    top = 0
+    if _sign_pair(ring, a - 1, b) >= 0:
+        while True:
+            da, db = b - eps * m * a, eps * a  # x / beta
+            if _sign_pair(ring, da - 1, db) < 0:
+                break
+            a, b = da, db
+            top += 1
+    else:
+        while _sign_pair(ring, a - 1, b) < 0:
+            a, b = eps * b, a + m * b  # x * beta
+            top -= 1
+    digits: list[int] = []
+    while True:
+        d = _floor_pair(ring, a, b)
+        digits.append(d)
+        a -= d
+        if a == 0 and b == 0:
+            return top, digits
+        if len(digits) == max_depth:
+            return top, None
+        a, b = eps * b, a + m * b
+
+
 def expand_greedy(x: QuadInt, max_depth: int = DEFAULT_MAX_DEPTH) -> DigitString:
-    """Greedy expansion of x > 0; raises NotFiniteError if it does not close out.
+    """Greedy expansion of x > 0; raises NotFiniteError if it does not close out
+    within ``max_depth`` digits, and OutOfRangeError if ``max_depth`` < 1.
 
     The expansion of x in Z[beta] terminates for every x > 0 when eps = +1,
     and exactly when N(x) >= 0 when eps = -1; in the latter case the error's
     ``norm`` attribute certifies the failure.
     """
-    ring = x.ring
+    if max_depth < 1:
+        raise OutOfRangeError(f"digit budget must be at least 1, got {max_depth}")
     if x.sign() <= 0:
         raise NonPositiveError(f"greedy expansion needs x > 0, got {x}")
-    # locate top exponent: beta^top <= x < beta^(top+1), i.e. x*beta^(-top) in [1, beta)
-    top = 0
-    r = x
-    if (r - 1).sign() >= 0:
-        while True:
-            down = r.mul_beta_pow(-1)
-            if (down - 1).sign() < 0:
-                break
-            r = down
-            top += 1
-    else:
-        while (r - 1).sign() < 0:
-            r = r.mul_beta_pow(1)
-            top -= 1
-    digits: list[int] = []
-    while True:
-        d = r.floor()
-        digits.append(d)
-        r = r - d
-        if r.a == 0 and r.b == 0:
-            break
-        if len(digits) >= max_depth:
-            raise NotFiniteError(
-                f"no finite expansion of {x} within depth {max_depth} (norm {x.norm()})",
-                norm=x.norm(),
-            )
-        r = r.mul_beta_pow(1)
-    return DigitString(ring, top, tuple(digits))
+    top, digits = _expand_pair(x.ring, x.a, x.b, max_depth)
+    if digits is None:
+        raise NotFiniteError(
+            f"no finite expansion of {x} within depth {max_depth} (norm {x.norm()})",
+            norm=x.norm(),
+        )
+    return DigitString(x.ring, top, tuple(digits))
 
 
 def admissible_digits(ring: RingSpec, digits: Sequence[int]) -> bool:

@@ -32,7 +32,7 @@ from math import comb, gcd, isqrt
 from operator import add, or_
 from typing import Iterable, Sequence, Union
 
-from .betanum import expand_greedy, has_finite_expansion
+from .betanum import _expand_pair
 from .errors import (
     BudgetExceededError,
     DepthTooSmallError,
@@ -47,7 +47,7 @@ from .errors import (
     RingMismatchError,
 )
 from .modelset import Interval, PointSet, _same_ring
-from .quadring import QuadInt, QuadRat, RingSpec, _quadints, _sign_pair, _sorted_pairs
+from .quadring import QuadInt, QuadRat, RingSpec, _floor_pair, _quadints, _sign_pair, _sorted_pairs
 
 log = logging.getLogger("qcx.convexity")
 
@@ -188,9 +188,10 @@ class Witness:
             object.__setattr__(self, "offset", self.ring.zero)
 
     def _leaf_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        s0 = self.seeds[0] + self.offset
-        s1 = self.seeds[1] + self.offset
-        return (s0.a, s0.b), (s1.a, s1.b)
+        s0, s1, o = self.seeds[0], self.seeds[1], self.offset
+        _same_ring(s0.ring, o.ring)
+        _same_ring(s1.ring, o.ring)
+        return (s0.a + o.a, s0.b + o.b), (s1.a + o.a, s1.b + o.b)
 
     def evaluate(self) -> QuadInt:
         a, b = _evaluator(self.ring, *self._leaf_pairs(), {})(self.root)
@@ -646,14 +647,15 @@ def _tree_from_digits(ring: RingSpec, digits: Sequence[int]) -> TreeNode:
 
 
 def _as_ring_element(ring: RingSpec, x) -> QuadInt:
+    # identity first: the dataclass __eq__ of RingSpec is the slow path
     if isinstance(x, QuadInt):
-        if x.ring != ring:
+        if x.ring is not ring and x.ring != ring:
             raise RingMismatchError("value from a different ring")
         return x
     if isinstance(x, QuadRat):
         if not x.is_integral():
             raise NotInRingError(f"{x} is not a ring integer")
-        if x.ring != ring:
+        if x.ring is not ring and x.ring != ring:
             raise RingMismatchError("value from a different ring")
         return x.num
     if isinstance(x, int):
@@ -672,27 +674,28 @@ def witness_for(ring: RingSpec, target, offset=None) -> Witness:
     """
     t = _as_ring_element(ring, target)
     if offset is None:
-        off = t.floor()
         # put targets that are exact integers at the left end of their pair
-        c = ring.element(off)
+        c = ring.element(_floor_pair(ring, t.a, t.b))
     else:
         c = _as_ring_element(ring, offset)
-    frac = t - c
-    sl = frac.sign() if (frac.a, frac.b) != (0, 0) else 0
-    one_minus = 1 - frac
-    sr = one_minus.sign() if (one_minus.a, one_minus.b) != (0, 0) else 0
+    fa, fb = t.a - c.a, t.b - c.b  # frac = t - c
+    sl = _sign_pair(ring, fa, fb)
+    sr = _sign_pair(ring, 1 - fa, -fb)
     if sl < 0 or sr < 0:
         raise OutOfWindowError(f"target {t} outside [{c} .. {c + 1}]")
     if sl == 0:
         root: TreeNode = LEAF_ZERO
     elif sr == 0:
         root = LEAF_ONE
-    elif has_finite_expansion(frac):
-        digits = list(expand_greedy(frac).fraction_digits())
-        root = _tree_from_digits(ring, digits)
     else:
-        digits = list(expand_greedy(one_minus).fraction_digits())
-        root = _substituter(LEAF_ZERO, LEAF_ONE, {})(_tree_from_digits(ring, digits))
+        # frac expands finitely when eps = +1 or its norm is >= 0, else 1 - frac
+        # does; finiteness is decided here, so the expansion needs no digit budget
+        finite = ring.eps == 1 or fa * (fa + ring.m * fb) + fb * fb >= 0
+        pa, pb = (fa, fb) if finite else (1 - fa, -fb)
+        top, digits = _expand_pair(ring, pa, pb, None)
+        root = _tree_from_digits(ring, [0] * (-top - 1) + digits)
+        if not finite:
+            root = _substituter(LEAF_ZERO, LEAF_ONE, {})(root)
     w = Witness(ring, root, (ring.zero, ring.one), c)
     if not verify_witness(w, t):  # pragma: no cover - construction invariant
         raise AssertionError(f"constructed witness failed verification for {t}")
@@ -920,9 +923,20 @@ def reduce_witness(w: Witness, max_index: int | None = None) -> Witness:
     cap = index_cap(ring) if max_index is None else max_index
     if cap < 1:
         raise OutOfRangeError("index cap must be at least 1")
-    reduced = Witness(ring, _reducer(ring, cap, {})(w.root), w.seeds, w.offset)
+    memo: dict = {}
+    reduced = Witness(ring, _reducer(ring, cap, memo)(w.root), w.seeds, w.offset)
     if not verify_witness(reduced, w.evaluate()):  # pragma: no cover - rewrite invariant
         raise AssertionError("reduced witness failed verification")
+    if log.isEnabledFor(logging.DEBUG):
+        # the rules are cached, so looking them up again costs nothing
+        rules = []
+        for i in sorted({n.op for n in memo if isinstance(n, Node)}):
+            kind = _checked_rewrite(ring, cap, i)
+            rules.append(f"{i} {kind[0]}" + (f" {kind[1]}" if kind[0].startswith("pair") else ""))
+        after: dict = {}
+        _evaluator(ring, (0, 0), (1, 0), after)(reduced.root)
+        log.debug("reduce_witness %s cap %d: op %s; %d nodes -> %d",
+                  ring, cap, ", op ".join(rules), len(memo), len(after))
     return reduced
 
 

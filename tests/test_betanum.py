@@ -148,6 +148,81 @@ def test_complement_dichotomy_minus_family():
     assert seen > 500
 
 
+def test_digit_budget_below_one_rejected():
+    for x in (GOLDEN.element(5), GOLDEN.one, MINUS4.beta - 3):
+        for budget in (0, -3):
+            with pytest.raises(OutOfRangeError):
+                expand_greedy(x, budget)
+
+
+# -- the pair kernel against the element loop ----------------------------------
+
+KERNEL_RINGS = tuple(RingSpec(m, eps) for m, eps in
+                     ((1, 1), (2, 1), (3, 1), (4, -1), (5, -1), (7, -1), (6, -1)))
+
+
+def ref_expand(x, max_depth=64):
+    """The greedy loop on ring elements, as expand_greedy ran it before its pair kernel."""
+    if x.sign() <= 0:
+        raise NonPositiveError(f"greedy expansion needs x > 0, got {x}")
+    top = 0
+    r = x
+    if (r - 1).sign() >= 0:
+        while True:
+            down = r.mul_beta_pow(-1)
+            if (down - 1).sign() < 0:
+                break
+            r = down
+            top += 1
+    else:
+        while (r - 1).sign() < 0:
+            r = r.mul_beta_pow(1)
+            top -= 1
+    digits = []
+    while True:
+        d = r.floor()
+        digits.append(d)
+        r = r - d
+        if r.a == 0 and r.b == 0:
+            break
+        if len(digits) >= max_depth:
+            raise NotFiniteError(
+                f"no finite expansion of {x} within depth {max_depth} (norm {x.norm()})",
+                norm=x.norm(),
+            )
+        r = r.mul_beta_pow(1)
+    return DigitString(x.ring, top, tuple(digits))
+
+
+def outcome(f, x, *budget):
+    try:
+        return f(x, *budget)
+    except (NonPositiveError, NotFiniteError) as exc:
+        return type(exc), str(exc), getattr(exc, "norm", None)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_expand_kernel_matches_reference(ring):
+    rng = random.Random(31 * ring.m + ring.eps)
+    xs = [ring.zero, ring.element(-1), ring.element(3, -1), -ring.beta]
+    for bits in (6, 20, 70, 90):
+        for _ in range(30):
+            xs.append(ring.element(rng.randint(-2**bits, 2**bits), rng.randint(-2**bits, 2**bits)))
+    xs += [-x for x in xs]
+    finite = infinite = 0
+    for x in xs:
+        for budget in ((), (1,), (2,), (3,), (1000,)):
+            got = outcome(expand_greedy, x, *budget)
+            assert got == outcome(ref_expand, x, *budget), (x, budget)
+        if x.sign() > 0 and has_finite_expansion(x):
+            finite += 1
+            assert evaluate(expand_greedy(x, 1000)) == x
+        elif x.sign() > 0:
+            infinite += 1
+            assert outcome(expand_greedy, x, 1000)[2] == x.norm() < 0
+    assert finite > 40 and (infinite > 40 if ring.eps == -1 else infinite == 0)
+
+
 # -- admissibility -----------------------------------------------------------
 
 

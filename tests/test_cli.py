@@ -66,6 +66,10 @@ def test_expand_failures(capsys):
     assert rc == 2 and err.startswith("qcx:")
     rc, _, err = run(capsys, "expand", "--m", "1", "--sign", "+", "--x", "abc")
     assert rc == 2 and err.startswith("qcx:")
+    for x, budget in (("5,0", "0"), ("5,0", "-3"), ("1,0", "0")):
+        rc, out, err = run(capsys, "expand", "--m", "1", "--sign", "+", "--x", x,
+                           "--max-depth", budget)
+        assert rc == 2 and out == "" and err.startswith("qcx: digit budget must be at least 1")
 
 
 def test_admissible(capsys):
@@ -250,6 +254,19 @@ def test_witness_offset_and_errors(capsys):
     rc, _, err = run(capsys, "witness", "--m", "1", "--sign", "+",
                      "--target", "5,0", "--offset", "0,0")
     assert rc == 2 and err.startswith("qcx:")       # target outside [0, 1]
+
+
+def test_witness_past_the_expand_budget(capsys):
+    # beta^-100 + beta^-1: a finite expansion of 101 digits
+    target = "--target=573147844013817084100,-354224848179261915074"
+    rc, out, err = run(capsys, "witness", "--m", "1", "--sign", "+", target, "--format", "plain")
+    assert rc == 0 and err == ""
+    assert out.splitlines()[:4] == [
+        "value = 573147844013817084100,-354224848179261915074",
+        "conj = 218922995834555169026,354224848179261915074",
+        "offset = 0,0",
+        "ops = [1]",
+    ]
 
 
 def witness_json(capsys, *argv):

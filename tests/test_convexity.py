@@ -107,6 +107,17 @@ def test_pinned_tree_complement():
     assert w.evaluate() == x and w.evaluate_conj() == x.conj()
 
 
+def test_witness_for_long_expansions():
+    # beta^-100 + beta^-1 and its complement have expansions past 64 digits
+    for ring in (GOLDEN, MINUS4):
+        t = ring.inv_beta ** 100 + ring.inv_beta
+        for x in (t, 1 - t):
+            w = witness_for(ring, x)
+            assert verify_witness(w, x) and w.depth() >= 50
+            r = reduce_witness(w)
+            assert verify_witness(r, x) and max(r.op_indices()) <= index_cap(ring)
+
+
 def test_integer_targets_are_leaves():
     w = witness_for(GOLDEN, 5)
     assert w.root is LEAF_ZERO and w.offset == 5 and w.evaluate() == 5

@@ -22,9 +22,12 @@ from qcx import (
     DigitRangeError,
     Leaf,
     Node,
+    RingMismatchError,
     RingSpec,
     ScanReport,
     Witness,
+    expand_greedy,
+    has_finite_expansion,
     reduce_witness,
     scan_witness_completeness,
     verify_witness,
@@ -37,6 +40,7 @@ from qcx.convexity import (
     _pair_shift_down,
     _reducer,
     _substituter,
+    _tree_from_digits,
     index_cap,
 )
 
@@ -220,6 +224,70 @@ def test_hull_check_matches_element_comparisons(ring):
         expect = lo <= v <= hi
         pairs = [(lo.a, lo.b), (hi.a, hi.b), (v.a, v.b)]
         assert _in_hull(ring, pairs, pairs[0], pairs[1]) is expect
+
+
+def ref_witness(ring, t, offset=None):
+    """witness_for on ring elements, through expand_greedy, fraction_digits and
+    _tree_from_digits, as it ran before its pair glue (with a budget that does
+    not bind on the targets here)."""
+    c = ring.element(t.floor()) if offset is None else ring.element(0) + offset
+    frac = t - c
+    if frac == 0:
+        root = LEAF_ZERO
+    elif frac == 1:
+        root = LEAF_ONE
+    elif has_finite_expansion(frac):
+        root = _tree_from_digits(ring, list(expand_greedy(frac, 10_000).fraction_digits()))
+    else:
+        digits = list(expand_greedy(1 - frac, 10_000).fraction_digits())
+        root = _substituter(LEAF_ZERO, LEAF_ONE, {})(_tree_from_digits(ring, digits))
+    return Witness(ring, root, (ring.zero, ring.one), c)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_witness_for_matches_digit_reference(ring):
+    # beta^-100 + beta^-1 and its complement expand past the default 64 digits
+    long = ring.inv_beta ** 100 + ring.inv_beta
+    for x in targets(ring) + [long, 1 - long]:
+        w = witness_for(ring, x)
+        assert w.to_dict() == ref_witness(ring, x).to_dict()
+        assert witness_for(ring, x, w.offset).to_dict() == w.to_dict()
+    for n in (-2, 0, 3):
+        for c in (n, n - 1):
+            x = ring.element(n)
+            assert witness_for(ring, x, c).to_dict() == ref_witness(ring, x, c).to_dict()
+
+
+def test_mixed_ring_witness_rejected():
+    golden, silver = RINGS[0], RINGS[1]
+    w = witness_for(golden, golden.element(2, -1))
+    for seeds, offset in (
+        (w.seeds, silver.zero),
+        ((silver.zero, silver.one), golden.zero),
+        ((golden.zero, silver.one), golden.zero),
+    ):
+        bad = Witness(golden, w.root, seeds, offset)
+        with pytest.raises(RingMismatchError):
+            bad.evaluate()
+        with pytest.raises(RingMismatchError):
+            verify_witness(bad, golden.element(2, -1))
+
+
+def test_reduce_witness_record_names_each_rule(caplog):
+    # digits 3 4 1 2: op 3 needs the searched template, ops 4 and 5 the pair rules
+    ring = RingSpec(6, -1)
+    x = ring.element(2740, -470)
+    w = witness_for(ring, x)
+    with caplog.at_level(logging.DEBUG, logger="qcx.convexity"):
+        caplog.clear()
+        r = reduce_witness(w)
+    recs = [rec for rec in caplog.records if rec.msg.startswith("reduce_witness")]
+    assert [rec.getMessage() for rec in recs] == [
+        "reduce_witness Z[beta], beta^2 = 6*beta - 1 cap 2: op 1 direct, op 2 direct, "
+        "op 3 template, op 4 pair_minus 1, op 5 pair_minus 0; 9 nodes -> 19"
+    ]
+    assert [rec.levelname for rec in recs] == ["DEBUG"]
+    assert verify_witness(r, x) and max(r.op_indices()) == 2
 
 
 # -- scan report pins ---------------------------------------------------------
